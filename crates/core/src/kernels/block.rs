@@ -183,51 +183,14 @@ pub fn repack_blocks_colmajor(block: usize, data: &[f32], dst: &mut [f32]) {
     }
 }
 
-/// Routes the per-row-block worker to the widest vector ISA the host
-/// supports. The wide variants recompile the *same* generic body with wider
-/// vector units (see [`wide`]); operation order is unchanged and Rust never
-/// contracts `a * b + c` into an FMA, so every branch is bit-identical.
-macro_rules! dispatch_wide {
-    ($avx512:ident, $avx2:ident, $generic:ident, $($arg:expr),+) => {{
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: the runtime check above guarantees avx512f.
-                return unsafe { wide::$avx512($($arg),+) };
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the runtime check above guarantees avx2.
-                return unsafe { wide::$avx2($($arg),+) };
-            }
-        }
-        $generic($($arg),+)
-    }};
-}
-
-/// Wide-vector re-instantiations of the row-block workers for x86-64 —
-/// same trick as the butterfly stage kernels: `#[target_feature]` recompiles
-/// the `#[inline(always)]` generic body with 256-/512-bit vectors enabled,
-/// selection happens at run time, results are bit-identical.
+/// Wide-vector re-instantiations of the row-block workers for x86-64,
+/// selected at run time by [`bfly_tensor::dispatch_wide!`] and bit-identical
+/// to the generic bodies.
 #[cfg(target_arch = "x86_64")]
 mod wide {
     use super::{BlockCsr, LowRankRef};
 
-    macro_rules! wide_pair {
-        ($avx512:ident, $avx2:ident, $generic:ident, ($($arg:ident: $ty:ty),+)) => {
-            #[target_feature(enable = "avx512f")]
-            #[allow(clippy::too_many_arguments)]
-            pub(super) fn $avx512($($arg: $ty),+) {
-                super::$generic($($arg),+)
-            }
-            #[target_feature(enable = "avx2")]
-            #[allow(clippy::too_many_arguments)]
-            pub(super) fn $avx2($($arg: $ty),+) {
-                super::$generic($($arg),+)
-            }
-        };
-    }
-
-    wide_pair!(
+    bfly_tensor::wide_pair!(
         forward_avx512,
         forward_avx2,
         forward_rows_impl,
@@ -242,7 +205,7 @@ mod wide {
             vxblock: &mut [f32]
         )
     );
-    wide_pair!(
+    bfly_tensor::wide_pair!(
         backward_avx512,
         backward_avx2,
         backward_rows_impl,
@@ -393,7 +356,7 @@ fn forward_rows(
     oblock: &mut [f32],
     vxblock: &mut [f32],
 ) {
-    dispatch_wide!(
+    bfly_tensor::dispatch_wide!(
         forward_avx512,
         forward_avx2,
         forward_rows_impl,
@@ -648,7 +611,7 @@ fn backward_rows(
     dvxblock: &mut [f32],
     gxblock: &mut [f32],
 ) {
-    dispatch_wide!(
+    bfly_tensor::dispatch_wide!(
         backward_avx512,
         backward_avx2,
         backward_rows_impl,

@@ -156,62 +156,19 @@ pub fn repack_angles_planar(angles: &[f32], dst: &mut [f32]) {
     }
 }
 
-/// Routes a planar stage call to the widest vector ISA the host supports.
-///
-/// On x86-64 the cost is one cached CPUID lookup per stage call; every other
-/// architecture compiles straight to the generic body. The `wide` variants
-/// run the *same* generic body, only recompiled with wider vector units
-/// enabled (see the module doc on [`wide`]), so results are bit-identical
-/// whichever branch is taken.
-macro_rules! dispatch_wide {
-    ($avx512:ident, $avx2:ident, $generic:ident, $($arg:expr),+) => {{
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: the runtime check above guarantees avx512f.
-                return unsafe { wide::$avx512($($arg),+) };
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the runtime check above guarantees avx2.
-                return unsafe { wide::$avx2($($arg),+) };
-            }
-        }
-        $generic($($arg),+)
-    }};
-}
-
-/// Wide-vector re-instantiations of the planar stage loops for x86-64.
-///
-/// `#[target_feature]` recompiles the inlined generic body with 256-bit
-/// (AVX2) or 512-bit (AVX-512F) vector units enabled; the baseline build
-/// only assumes SSE2, so without this the planar loops vectorize at four
-/// lanes. The arithmetic is unchanged — identical operations in identical
-/// order, and Rust never contracts `a * p + b * q` into an FMA — so every
-/// variant is bit-identical to the generic one. Selection happens at run
-/// time in [`dispatch_wide!`], never at compile time, keeping the binary
-/// portable.
+/// Wide-vector re-instantiations of the planar stage loops for x86-64: the
+/// baseline build only assumes SSE2, so without them the planar loops
+/// vectorize at four lanes. Selected at run time by
+/// [`bfly_tensor::dispatch_wide!`], bit-identical to the generic bodies.
 #[cfg(target_arch = "x86_64")]
 mod wide {
-    macro_rules! wide_pair {
-        ($avx512:ident, $avx2:ident, $generic:ident, ($($arg:ident: $ty:ty),+)) => {
-            #[target_feature(enable = "avx512f")]
-            pub(super) fn $avx512($($arg: $ty),+) {
-                super::$generic($($arg),+)
-            }
-            #[target_feature(enable = "avx2")]
-            pub(super) fn $avx2($($arg: $ty),+) {
-                super::$generic($($arg),+)
-            }
-        };
-    }
-
-    wide_pair!(
+    bfly_tensor::wide_pair!(
         twiddle_avx512,
         twiddle_avx2,
         twiddle_stage_planar_impl,
         (block_size: usize, planar: &[f32], x: &mut [f32])
     );
-    wide_pair!(
+    bfly_tensor::wide_pair!(
         rotation_avx512,
         rotation_avx2,
         rotation_stage_planar_impl,
@@ -225,7 +182,14 @@ mod wide {
 /// vectorizes for any block half of a few lanes or more.
 #[inline]
 pub fn apply_twiddle_stage_planar(block_size: usize, planar: &[f32], x: &mut [f32]) {
-    dispatch_wide!(twiddle_avx512, twiddle_avx2, twiddle_stage_planar_impl, block_size, planar, x)
+    bfly_tensor::dispatch_wide!(
+        twiddle_avx512,
+        twiddle_avx2,
+        twiddle_stage_planar_impl,
+        block_size,
+        planar,
+        x
+    )
 }
 
 #[inline(always)]
@@ -299,7 +263,7 @@ fn twiddle_stage_into_planar_impl(block_size: usize, planar: &[f32], src: &[f32]
 /// streams, bit-identical results.
 #[inline]
 pub fn apply_rotation_stage_planar(block_size: usize, planar: &[f32], x: &mut [f32]) {
-    dispatch_wide!(
+    bfly_tensor::dispatch_wide!(
         rotation_avx512,
         rotation_avx2,
         rotation_stage_planar_impl,

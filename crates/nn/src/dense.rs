@@ -2,7 +2,7 @@
 
 use crate::layer::{DenseView, Layer};
 use crate::param::Param;
-use bfly_tensor::matmul::{matmul, matmul_a_bt_slice, matmul_at_b};
+use bfly_tensor::matmul::{matmul_a_bt_slice, matmul_at_b, matmul_slice};
 use bfly_tensor::{LinOp, Matrix, Scratch};
 use rand::Rng;
 
@@ -120,8 +120,7 @@ impl Layer for Dense {
             }
         }
         self.bias.accumulate_grad(&db);
-        let w = Matrix::from_vec(self.out_dim, self.in_dim, self.weight.value.clone());
-        matmul(grad_output, &w)
+        matmul_slice(grad_output, &self.weight.value, self.in_dim)
     }
 
     fn params(&mut self) -> Vec<&mut Param> {

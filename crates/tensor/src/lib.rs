@@ -2,7 +2,7 @@
 //!
 //! Dense and sparse linear algebra kernels for the butterfly-factorization
 //! workspace: row-major [`Matrix`], CSR/COO sparse formats, three tiers of
-//! matmul kernel (naive / blocked / rayon-parallel), a radix-2 FFT, the fast
+//! matmul kernel (naive / blocked / tuned, with runtime vector-ISA dispatch), a radix-2 FFT, the fast
 //! Walsh-Hadamard transform, permutations, and deterministic RNG plumbing.
 //!
 //! Everything is `f32` (matching the FP32 configurations benchmarked in the
@@ -10,6 +10,8 @@
 //! them.
 
 #![warn(missing_docs)]
+
+mod dispatch;
 
 pub mod dct;
 pub mod fft;
