@@ -44,8 +44,8 @@ use bfly_bench::{env_f64, env_u64, env_usize, host_cores, smoke_run};
 use bfly_core::Method;
 use bfly_data::TrafficTrace;
 use bfly_serve::{
-    closed_loop_models_with_pool, trace_loop, AutoscaleConfig, AutoscaleReport, CacheConfig,
-    ReplicaStats, ScaleDecision, ServeConfig, Server,
+    closed_loop, trace_loop, AutoscaleConfig, AutoscaleReport, CacheConfig, ReplicaStats,
+    ScaleDecision, ServeConfig, Server,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -190,14 +190,7 @@ fn calibrate(w: &Workload, method: Method) -> Calibration {
     let name = method.label().to_lowercase();
     let server =
         Server::start(serve_config(w, AutoscaleConfig::default()), &[method]).expect("dim fits");
-    let report = closed_loop_models_with_pool(
-        &server,
-        &[name.as_str()],
-        w.clients,
-        w.per_client,
-        0xBEE5,
-        w.pool,
-    );
+    let report = closed_loop(&server, &[name.as_str()], w.clients, w.per_client, 0xBEE5, w.pool);
     server.shutdown();
     Calibration {
         method: name,

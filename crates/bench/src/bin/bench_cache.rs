@@ -23,7 +23,7 @@
 use bfly_bench::json::write_bench_json;
 use bfly_bench::{env_f64, env_usize, host_cores, smoke_run};
 use bfly_core::Method;
-use bfly_serve::{open_loop_with_pool, CacheConfig, LoadReport, ServeConfig, Server};
+use bfly_serve::{open_loop, CacheConfig, LoadReport, ServeConfig, Server};
 use serde::Serialize;
 use std::time::Duration;
 
@@ -104,8 +104,7 @@ fn run_once(
         ..Default::default()
     };
     let server = Server::start(config, &[Method::Butterfly]).expect("dim must fit butterfly");
-    let report: LoadReport =
-        open_loop_with_pool(&server, "butterfly", rate, requests, 0xBEE5, pool_size);
+    let report: LoadReport = open_loop(&server, "butterfly", rate, requests, 0xBEE5, pool_size);
     let snapshot = server.shutdown();
     let m = &snapshot.models[0];
     RunStats {

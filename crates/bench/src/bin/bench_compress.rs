@@ -31,7 +31,7 @@ use bfly_bench::{env_f64, env_u64, env_usize, format_table, host_cores, smoke_ru
 use bfly_core::{compress_model, Method, ModelCompressConfig};
 use bfly_data::{generate, split, Split, SynthSpec};
 use bfly_nn::{build_dense_mlp, evaluate, fit, Sequential, TrainConfig};
-use bfly_serve::{closed_loop_models_with_pool, CacheConfig, PrebuiltModel, ServeConfig, Server};
+use bfly_serve::{closed_loop, CacheConfig, PrebuiltModel, ServeConfig, Server};
 use bfly_tensor::seeded_rng;
 use serde::Serialize;
 use std::time::Duration;
@@ -181,10 +181,9 @@ fn serve_once(
         replicas,
         ..Default::default()
     };
-    let server =
-        Server::start_fleet_prebuilt(config, &[], vec![PrebuiltModel::new(name, method, stack)])
-            .expect("prebuilt fleet");
-    let load = closed_loop_models_with_pool(&server, &[name], clients, per_client, 64, 64);
+    let server = Server::start_fleet(config, &[], vec![PrebuiltModel::new(name, method, stack)])
+        .expect("prebuilt fleet");
+    let load = closed_loop(&server, &[name], clients, per_client, 64, 64);
     let snapshot = server.shutdown();
     let makespan = snapshot.pod_makespan_us;
     ServeStats {

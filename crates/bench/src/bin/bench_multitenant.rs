@@ -29,8 +29,8 @@ use bfly_bench::json::write_bench_json;
 use bfly_bench::{env_f64, env_u64, env_usize, host_cores, smoke_run};
 use bfly_core::Method;
 use bfly_serve::{
-    closed_loop_models_with_pool, CacheConfig, ModelSpec, ResidencyConfig, ResidencyPolicy,
-    ServeConfig, Server, ZipfSampler,
+    closed_loop, CacheConfig, ModelSpec, ResidencyConfig, ResidencyPolicy, ServeConfig, Server,
+    ZipfSampler,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -119,7 +119,7 @@ fn run_once(w: &Workload, method: Method, models: usize) -> RunStats {
         residency: ResidencyConfig { policy: w.policy, ..ResidencyConfig::with_budget(w.budget) },
         ..Default::default()
     };
-    let server = Server::start_fleet(config, &specs).expect("valid fleet");
+    let server = Server::start_fleet(config, &specs, Vec::new()).expect("valid fleet");
 
     // Pre-sample the Zipf-skewed model trace once, seeded, so butterfly and
     // dense fleets of the same size see the *identical* popularity pattern.
@@ -129,7 +129,7 @@ fn run_once(w: &Workload, method: Method, models: usize) -> RunStats {
         (0..w.trace_len).map(|_| format!("m{:03}", sampler.sample(&mut rng))).collect();
     let trace: Vec<&str> = names.iter().map(String::as_str).collect();
 
-    let report = closed_loop_models_with_pool(&server, &trace, w.clients, w.per_client, 0xFEED, 64);
+    let report = closed_loop(&server, &trace, w.clients, w.per_client, 0xFEED, 64);
     let snapshot = server.shutdown();
     let res = &snapshot.residency;
     let resident_tenants = {

@@ -23,7 +23,7 @@
 use bfly_bench::json::write_bench_json;
 use bfly_bench::{env_f64, env_usize, host_cores};
 use bfly_core::{Method, PixelflyConfig};
-use bfly_serve::{open_loop, CacheConfig, LoadReport, ServeConfig, Server};
+use bfly_serve::{open_loop, CacheConfig, LoadReport, ServeConfig, Server, DEFAULT_INPUT_POOL};
 use serde::Serialize;
 use std::time::Duration;
 
@@ -101,7 +101,7 @@ fn run_once(
     };
     let server = Server::start(config, &[method]).expect("BFLY_SERVE_DIM must fit every method");
     let name = server.model_names().remove(0);
-    let report = open_loop(&server, &name, rate, requests, 0xBEE5);
+    let report = open_loop(&server, &name, rate, requests, 0xBEE5, DEFAULT_INPUT_POOL);
     server.shutdown();
     report
 }

@@ -6,7 +6,7 @@
 //! stdout.
 
 use serde::Serialize;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Where JSON results are written.
 pub fn results_dir() -> PathBuf {
@@ -15,7 +15,13 @@ pub fn results_dir() -> PathBuf {
 
 /// True when the user asked for JSON output (`BFLY_JSON=1`).
 pub fn json_enabled() -> bool {
-    std::env::var("BFLY_JSON").map(|v| v == "1").unwrap_or(false)
+    enabled(std::env::var("BFLY_JSON").ok().as_deref())
+}
+
+/// The `BFLY_JSON` switch as a function of the variable's value: only an
+/// exact `"1"` turns JSON output on.
+fn enabled(value: Option<&str>) -> bool {
+    value == Some("1")
 }
 
 /// Writes `value` as `target/bench-results/<name>.json` when enabled.
@@ -25,8 +31,12 @@ pub fn maybe_write_json<T: Serialize>(name: &str, value: &T) -> Option<PathBuf> 
     if !json_enabled() {
         return None;
     }
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
+    write_json_in(&results_dir(), name, value)
+}
+
+/// Writes `value` as `<dir>/<name>.json`, creating `dir` if needed.
+fn write_json_in<T: Serialize>(dir: &Path, name: &str, value: &T) -> Option<PathBuf> {
+    if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("BFLY_JSON: cannot create {}: {e}", dir.display());
         return None;
     }
@@ -78,9 +88,10 @@ mod tests {
 
     #[test]
     fn disabled_by_default() {
-        std::env::remove_var("BFLY_JSON");
-        assert!(!json_enabled());
-        assert!(maybe_write_json("unit-test", &Row { n: 1, value: 2.0 }).is_none());
+        assert!(!enabled(None), "unset means off");
+        assert!(!enabled(Some("0")));
+        assert!(!enabled(Some("true")), "only an exact 1 turns output on");
+        assert!(enabled(Some("1")));
     }
 
     #[test]
@@ -91,12 +102,12 @@ mod tests {
 
     #[test]
     fn writes_when_enabled() {
-        std::env::set_var("BFLY_JSON", "1");
-        let path = maybe_write_json("unit-test-write", &vec![Row { n: 1, value: 2.0 }])
+        let dir = std::env::temp_dir().join(format!("bfly-json-test-{}", std::process::id()));
+        let path = write_json_in(&dir, "unit-test-write", &vec![Row { n: 1, value: 2.0 }])
             .expect("should write");
+        assert_eq!(path, dir.join("unit-test-write.json"));
         let body = std::fs::read_to_string(&path).expect("readable");
         assert!(body.contains("\"n\": 1"));
-        std::fs::remove_file(path).ok();
-        std::env::remove_var("BFLY_JSON");
+        std::fs::remove_dir_all(dir).ok();
     }
 }

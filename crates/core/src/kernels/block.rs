@@ -14,8 +14,10 @@
 //!   the coordinate list on the hot path. Because the coordinate list is
 //!   sorted lexicographically, the payloads are *already* in CSR order — the
 //!   view is built once with no payload movement.
-//! - **One rayon pass over row blocks**: each batch row computes its sparse
-//!   product, low-rank correction and bias while it stays cache-resident;
+//! - **One pass over row blocks** (written against the `rayon` API; the
+//!   vendored `rayon` shim runs it sequentially): each batch row computes
+//!   its sparse product, low-rank correction and bias while it stays
+//!   cache-resident;
 //!   the only allocation is the returned output matrix (working buffers come
 //!   from a caller-owned [`Scratch`]).
 //! - **Lane-parallel microkernels** for `b ∈ {4, 8, 16, 32}` with a generic

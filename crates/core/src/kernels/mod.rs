@@ -9,8 +9,9 @@
 //! full-matrix traffic that throws away the paper's `O(n log n)` advantage on
 //! allocator churn and cache misses.
 //!
-//! The kernels here instead make **one** parallel pass over row blocks: each
-//! row is gathered through the permutation (with implicit zero-padding)
+//! The kernels here instead make **one** pass over row blocks (written
+//! against the `rayon` API; the vendored `rayon` shim runs it sequentially):
+//! each row is gathered through the permutation (with implicit zero-padding)
 //! straight into a scratch row, every stage runs on it while it stays
 //! cache-resident, and the crop + bias writes it to the output. Batched calls
 //! first repack each stage's parameters into planar (structure-of-arrays)

@@ -1,24 +1,22 @@
-//! Elastic autoscaling: a control loop over the windowed metrics deltas.
+//! Elastic autoscaling: a control loop over windowed metrics.
 //!
 //! When [`crate::AutoscaleConfig`] is enabled the server builds its pod
 //! with `max_replicas` simulated devices but enrolls only
 //! `ServeConfig::replicas` of them, and spawns one controller thread that
 //! every `interval`:
 //!
-//! 1. takes a metrics snapshot and diffs it against the previous sample
-//!    ([`crate::ServeSnapshot::delta_since`]) — counters over the window,
-//!    gauges from the newer snapshot;
-//! 2. condenses the delta into [`ScaleSignals`]: backlog (admission +
-//!    replica queues) per enrolled replica, and the windowed deadline-miss
-//!    rate;
-//! 3. asks the [`ScalePolicy`] for a decision — grow when the backlog or
+//! 1. takes a metrics snapshot and condenses the window since the previous
+//!    sample into [`ScaleSignals`]: backlog (admission + replica queues,
+//!    gauges read from the newer snapshot) per enrolled replica, and the
+//!    deadline-miss rate over the window's counters;
+//! 2. asks the [`ScalePolicy`] for a decision — grow when the backlog or
 //!    miss rate crosses its scale-up threshold, drain when the backlog sits
 //!    below the scale-down threshold with a clean miss rate, hold
 //!    otherwise. Every action arms a cooldown of `cooldown_windows`
 //!    samples, and the up/down thresholds are separated by construction
 //!    (validated as a hysteresis band), so the controller cannot flap on a
 //!    noisy signal;
-//! 4. applies the decision through `Pod::grow` / `Pod::drain` — the same
+//! 3. applies the decision through `Pod::grow` / `Pod::drain` — the same
 //!    transitions deterministic tests drive via `FaultKind::Grow` /
 //!    `FaultKind::Drain` — and logs it to the [`AutoscaleReport`].
 //!
@@ -33,6 +31,7 @@
 //! counter), so the decision logic is unit-tested without a server.
 
 use crate::config::AutoscaleConfig;
+use crate::metrics::ServeSnapshot;
 use serde::Serialize;
 
 /// What the controller measured over one sampling window.
@@ -45,6 +44,33 @@ pub struct ScaleSignals {
     pub miss_rate: f64,
     /// Enrolled replicas at sampling time.
     pub enrolled: usize,
+}
+
+impl ScaleSignals {
+    /// Condenses the window between two snapshots of the same server. The
+    /// backlog gauges (admission queues plus batches routed but not yet
+    /// settled) come from `now`; the miss rate is deadline misses over
+    /// completions *within* the window. Those two counters are differenced
+    /// per model, matched by name (a model unknown to `prev` counts from
+    /// zero), with saturating subtraction so a mismatched `prev` degrades
+    /// to zero instead of wrapping. Observation counters are never thinned
+    /// (only the latency histograms' retained samples are), so the window
+    /// math stays exact on long runs.
+    pub(crate) fn window(prev: &ServeSnapshot, now: &ServeSnapshot, enrolled: usize) -> Self {
+        let (mut completed, mut missed) = (0u64, 0u64);
+        for m in &now.models {
+            let p = prev.models.iter().find(|p| p.model == m.model);
+            completed += m.completed.saturating_sub(p.map_or(0, |p| p.completed));
+            missed += m.deadline_exceeded.saturating_sub(p.map_or(0, |p| p.deadline_exceeded));
+        }
+        let queued: usize = now.models.iter().map(|m| m.queue_depth).sum();
+        let inflight: usize = now.replicas.iter().map(|r| r.queue_depth).sum();
+        Self {
+            backlog_per_replica: (queued + inflight) as f64 / enrolled.max(1) as f64,
+            miss_rate: if completed == 0 { 0.0 } else { missed as f64 / completed as f64 },
+            enrolled,
+        }
+    }
 }
 
 /// One decision of the control loop.
@@ -141,6 +167,12 @@ impl AutoscaleReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{
+        CacheStats, IngressStats, MethodDeviceStats, ModelMetrics, ModelStats, ResidencySummary,
+        MAX_SAMPLES,
+    };
+    use crate::request::{ServedFrom, Timing};
+    use std::sync::atomic::Ordering;
 
     fn signals(backlog: f64, miss: f64, enrolled: usize) -> ScaleSignals {
         ScaleSignals { backlog_per_replica: backlog, miss_rate: miss, enrolled }
@@ -196,6 +228,112 @@ mod tests {
         assert_eq!(p.decide(signals(9.0, 0.0, 2)), ScaleDecision::Hold, "cooldown window 1");
         assert_eq!(p.decide(signals(9.0, 0.0, 2)), ScaleDecision::Hold, "cooldown window 2");
         assert_eq!(p.decide(signals(9.0, 0.0, 2)), ScaleDecision::Grow, "cooldown expired");
+    }
+
+    fn wrap_snapshot(elapsed_s: f64, models: Vec<ModelStats>) -> ServeSnapshot {
+        let total_device_us = models.iter().map(|m| m.device_us).sum();
+        let methods = MethodDeviceStats::rollup(&models);
+        ServeSnapshot {
+            elapsed_s,
+            models,
+            methods,
+            shards: vec![],
+            replicas: vec![],
+            total_device_us,
+            pod_makespan_us: 0.0,
+            cache: CacheStats::disabled(),
+            ingress: IngressStats::disabled(),
+            residency: ResidencySummary::from_replicas(None, "lru", vec![], &[]),
+        }
+    }
+
+    fn timing(source: ServedFrom) -> Timing {
+        Timing {
+            queue_us: 5,
+            service_us: 10,
+            total_us: 15,
+            batch_size: 2,
+            ipu_batch_us: None,
+            gpu_batch_us: None,
+            sim_batch_us: None,
+            source,
+            replica: Some(0),
+        }
+    }
+
+    /// One model's stats as a snapshot at `elapsed_s` with admission-queue
+    /// depth `queue_depth`.
+    fn snap(m: &ModelMetrics, name: &str, elapsed_s: f64, queue_depth: usize) -> ServeSnapshot {
+        let stats = m.snapshot(name, "t", "Butterfly", 0, elapsed_s, queue_depth, 0, 0, (0, 0, 0));
+        wrap_snapshot(elapsed_s, vec![stats])
+    }
+
+    #[test]
+    fn window_counts_only_its_own_responses_and_reads_backlog_from_the_newer_snapshot() {
+        let m = ModelMetrics::default();
+        m.admitted.fetch_add(4, Ordering::Relaxed);
+        m.record_response(&timing(ServedFrom::Compute));
+        m.record_response(&timing(ServedFrom::Compute));
+        m.record_response(&timing(ServedFrom::DeadlineExceeded));
+        let prev = snap(&m, "x", 1.0, 7);
+
+        m.admitted.fetch_add(6, Ordering::Relaxed);
+        m.shed.fetch_add(2, Ordering::Relaxed);
+        m.record_response(&timing(ServedFrom::Compute));
+        m.record_response(&timing(ServedFrom::DeadlineExceeded));
+        m.record_response(&timing(ServedFrom::DeadlineExceeded));
+        m.record_response(&timing(ServedFrom::PodDown));
+        let now = snap(&m, "x", 3.0, 9);
+
+        let s = ScaleSignals::window(&prev, &now, 3);
+        assert_eq!(s.miss_rate, 0.5, "2 misses in the window's 4 responses, not 3 in 7");
+        assert_eq!(s.backlog_per_replica, 3.0, "queue gauge 9 from the newer snapshot / 3");
+        assert_eq!(s.enrolled, 3);
+        let s = ScaleSignals::window(&prev, &now, 0);
+        assert_eq!(s.backlog_per_replica, 9.0, "an empty pod divides by one, not zero");
+    }
+
+    #[test]
+    fn window_counter_math_stays_exact_across_histogram_thinning() {
+        // Push the latency histogram through thinning between the two
+        // snapshots: retained samples shrink, but the observation counters
+        // the window differences are never thinned, so the rate stays exact.
+        let m = ModelMetrics::default();
+        for _ in 0..10 {
+            m.record_response(&timing(ServedFrom::Compute));
+        }
+        let prev = snap(&m, "x", 1.0, 0);
+
+        let during = (MAX_SAMPLES as u64) * 3;
+        for i in 0..during {
+            let source =
+                if i % 4 == 0 { ServedFrom::DeadlineExceeded } else { ServedFrom::Compute };
+            m.record_response(&timing(source));
+        }
+        assert!(m.latency_us.retained() < m.latency_us.count() as usize, "thinning engaged");
+        assert!(m.latency_us.retained() <= MAX_SAMPLES);
+        let now = snap(&m, "x", 2.0, 0);
+
+        assert_eq!(ScaleSignals::window(&prev, &now, 1).miss_rate, 0.25);
+    }
+
+    #[test]
+    fn window_against_a_mismatched_prev_saturates_to_zero() {
+        let m = ModelMetrics::default();
+        for _ in 0..3 {
+            m.record_response(&timing(ServedFrom::DeadlineExceeded));
+        }
+        let bigger = snap(&m, "x", 1.0, 0);
+        let smaller = snap(&ModelMetrics::default(), "x", 2.0, 0);
+        // `smaller` has lower counters than `bigger`: subtraction saturates
+        // to an empty window instead of wrapping into a huge miss count.
+        assert_eq!(ScaleSignals::window(&bigger, &smaller, 1).miss_rate, 0.0);
+        // A model unknown to `prev` is differenced against a zero baseline.
+        let fresh = ModelMetrics::default();
+        fresh.record_response(&timing(ServedFrom::Compute));
+        fresh.record_response(&timing(ServedFrom::DeadlineExceeded));
+        let unseen = snap(&fresh, "new", 3.0, 0);
+        assert_eq!(ScaleSignals::window(&bigger, &unseen, 1).miss_rate, 0.5);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// fxhash-style multiplier (64-bit).
 const HASH_K: u64 = 0x517c_c1b7_2722_0a95;
@@ -129,7 +129,6 @@ struct Slot {
     /// still a refcount bump in the common owned case.
     input: Payload,
     output: Vec<f32>,
-    inserted: Instant,
     prev: usize,
     next: usize,
 }
@@ -187,38 +186,21 @@ impl Lru {
         }
     }
 
-    /// Input-verified lookup; a hit moves the entry to the front. Returns
-    /// `(output, expired)`: `expired` flags a TTL eviction performed here.
-    fn get(
-        &mut self,
-        key: u64,
-        input: &Payload,
-        ttl: Option<Duration>,
-        now: Instant,
-    ) -> Lookup<'_> {
-        let Some(&i) = self.map.get(&key) else {
-            return Lookup::Absent;
-        };
-        if let Some(ttl) = ttl {
-            if now.duration_since(self.slots[i].inserted) > ttl {
-                self.unlink(i);
-                self.map.remove(&key);
-                self.free.push(i);
-                return Lookup::Expired;
-            }
-        }
+    /// Input-verified lookup; a hit moves the entry to the front.
+    fn get(&mut self, key: u64, input: &Payload) -> Option<&[f32]> {
+        let &i = self.map.get(&key)?;
         if !self.slots[i].input.bit_eq(input) {
             // 64-bit collision: different content behind the same key.
-            return Lookup::Absent;
+            return None;
         }
         self.unlink(i);
         self.push_front(i);
-        Lookup::Found(&self.slots[i].output)
+        Some(&self.slots[i].output)
     }
 
     /// Inserts (or refreshes) an entry, returning how many entries were
     /// evicted to make room.
-    fn insert(&mut self, key: u64, input: Payload, output: Vec<f32>, now: Instant) -> u64 {
+    fn insert(&mut self, key: u64, input: Payload, output: Vec<f32>) -> u64 {
         if self.capacity == 0 {
             return 0;
         }
@@ -226,7 +208,6 @@ impl Lru {
             let slot = &mut self.slots[i];
             slot.input = input;
             slot.output = output;
-            slot.inserted = now;
             self.unlink(i);
             self.push_front(i);
             return 0;
@@ -242,11 +223,11 @@ impl Lru {
         }
         let i = match self.free.pop() {
             Some(i) => {
-                self.slots[i] = Slot { key, input, output, inserted: now, prev: NIL, next: NIL };
+                self.slots[i] = Slot { key, input, output, prev: NIL, next: NIL };
                 i
             }
             None => {
-                self.slots.push(Slot { key, input, output, inserted: now, prev: NIL, next: NIL });
+                self.slots.push(Slot { key, input, output, prev: NIL, next: NIL });
                 self.slots.len() - 1
             }
         };
@@ -254,12 +235,6 @@ impl Lru {
         self.push_front(i);
         evicted
     }
-}
-
-enum Lookup<'a> {
-    Found(&'a [f32]),
-    Expired,
-    Absent,
 }
 
 struct Shard {
@@ -276,13 +251,11 @@ pub(crate) struct CacheCounters {
     pub coalesced: AtomicU64,
     pub insertions: AtomicU64,
     pub evictions: AtomicU64,
-    pub expired: AtomicU64,
 }
 
 /// The two-level serving cache: sharded LRU result store + in-flight table.
 pub(crate) struct ResponseCache {
     shards: Vec<Mutex<Shard>>,
-    ttl: Option<Duration>,
     /// `capacity == 0` disables memoization but keeps in-flight dedup.
     memoize: bool,
     capacity: usize,
@@ -298,7 +271,6 @@ impl ResponseCache {
             shards: (0..shards)
                 .map(|_| Mutex::new(Shard { lru: Lru::new(per_shard), pending: HashMap::new() }))
                 .collect(),
-            ttl: config.ttl,
             memoize: config.capacity > 0,
             capacity: config.capacity,
             generation: AtomicU64::new(0),
@@ -348,7 +320,6 @@ impl ResponseCache {
             hit_rate: if looked == 0 { 0.0 } else { hits as f64 / looked as f64 },
             insertions: self.counters.insertions.load(Ordering::Relaxed),
             evictions: self.counters.evictions.load(Ordering::Relaxed),
-            expired: self.counters.expired.load(Ordering::Relaxed),
         }
     }
 
@@ -366,16 +337,10 @@ impl ResponseCache {
         send: impl FnOnce(CacheTag) -> Result<(), SubmitError>,
     ) -> AdmitOutcome {
         let mut shard = self.shards[self.shard_index(key)].lock();
-        match shard.lru.get(key, input, self.ttl, Instant::now()) {
-            Lookup::Found(output) => {
-                let output = output.to_vec();
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return AdmitOutcome::Hit(output);
-            }
-            Lookup::Expired => {
-                self.counters.expired.fetch_add(1, Ordering::Relaxed);
-            }
-            Lookup::Absent => {}
+        if let Some(output) = shard.lru.get(key, input) {
+            let output = output.to_vec();
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            return AdmitOutcome::Hit(output);
         }
         if let Some(pending) = shard.pending.get_mut(&key) {
             if pending.input.bit_eq(input) {
@@ -417,8 +382,7 @@ impl ResponseCache {
     ) -> Vec<(Waiter, u64)> {
         let mut shard = self.shards[self.shard_index(tag.key)].lock();
         if self.memoize {
-            let evicted =
-                shard.lru.insert(tag.key, input.compact(), output.to_vec(), Instant::now());
+            let evicted = shard.lru.insert(tag.key, input.compact(), output.to_vec());
             self.counters.insertions.fetch_add(1, Ordering::Relaxed);
             self.counters.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
@@ -453,8 +417,8 @@ mod tests {
     use super::*;
     use crate::request::ResponseHandle;
 
-    fn config(capacity: usize, shards: usize, ttl: Option<Duration>) -> CacheConfig {
-        CacheConfig { enabled: true, capacity, shards, ttl }
+    fn config(capacity: usize, shards: usize) -> CacheConfig {
+        CacheConfig { enabled: true, capacity, shards }
     }
 
     fn waiter() -> Waiter {
@@ -478,7 +442,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit_roundtrip() {
-        let cache = ResponseCache::new(&config(8, 2, None));
+        let cache = ResponseCache::new(&config(8, 2));
         let input: Payload = vec![0.5f32; 16].into();
         let key = payload_key(0, &input);
         let mut tag = None;
@@ -502,7 +466,7 @@ mod tests {
 
     #[test]
     fn concurrent_same_key_coalesces_and_wakes_in_attach_order() {
-        let cache = ResponseCache::new(&config(8, 1, None));
+        let cache = ResponseCache::new(&config(8, 1));
         let input: Payload = vec![1.5f32; 4].into();
         let key = payload_key(3, &input);
         let mut tag = None;
@@ -542,7 +506,7 @@ mod tests {
 
     #[test]
     fn rejected_send_registers_nothing() {
-        let cache = ResponseCache::new(&config(8, 1, None));
+        let cache = ResponseCache::new(&config(8, 1));
         let input: Payload = vec![2.0f32; 4].into();
         let key = payload_key(0, &input);
         let outcome = cache.admit(key, &input, waiter, |_| Err(SubmitError::Overloaded));
@@ -553,7 +517,7 @@ mod tests {
 
     #[test]
     fn colliding_key_with_different_input_never_serves_wrong_bytes() {
-        let cache = ResponseCache::new(&config(8, 1, None));
+        let cache = ResponseCache::new(&config(8, 1));
         let a: Payload = vec![1.0f32; 4].into();
         let b: Payload = vec![2.0f32; 4].into();
         let key = 42u64; // force a "collision" by reusing the key directly
@@ -589,7 +553,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
-        let cache = ResponseCache::new(&config(2, 1, None));
+        let cache = ResponseCache::new(&config(2, 1));
         let inputs: Vec<Payload> = (0..3).map(|i| Payload::from(vec![i as f32; 2])).collect();
         let keys: Vec<u64> = inputs.iter().map(|x| payload_key(0, x)).collect();
         for (key, input) in keys.iter().zip(&inputs).take(2) {
@@ -624,28 +588,8 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_entries() {
-        let cache = ResponseCache::new(&config(8, 1, Some(Duration::from_millis(5))));
-        let input: Payload = vec![3.0f32; 4].into();
-        let key = payload_key(0, &input);
-        let mut tag = None;
-        cache.admit(key, &input, waiter, |t| {
-            tag = Some(t);
-            Ok(())
-        });
-        cache.complete(tag.expect("sent"), input.clone(), &[1.0], || 0);
-        assert!(matches!(cache.admit(key, &input, waiter, |_| Ok(())), AdmitOutcome::Hit(_)));
-        std::thread::sleep(Duration::from_millis(10));
-        assert!(
-            matches!(cache.admit(key, &input, waiter, |_| Ok(())), AdmitOutcome::Admitted),
-            "expired entry must re-admit"
-        );
-        assert_eq!(cache.counters.expired.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
     fn fail_wakes_waiters_without_memoizing() {
-        let cache = ResponseCache::new(&config(8, 1, None));
+        let cache = ResponseCache::new(&config(8, 1));
         let input: Payload = vec![5.0f32; 4].into();
         let key = payload_key(0, &input);
         let mut tag = None;
@@ -675,7 +619,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_keeps_dedup_but_memoizes_nothing() {
-        let cache = ResponseCache::new(&config(0, 2, None));
+        let cache = ResponseCache::new(&config(0, 2));
         let input: Payload = vec![4.0f32; 4].into();
         let key = payload_key(0, &input);
         let mut tag = None;

@@ -19,14 +19,11 @@ pub struct CacheConfig {
     /// Lock-striped shards of the cache; each shard has one mutex guarding
     /// its LRU slice and its in-flight table.
     pub shards: usize,
-    /// Entries older than this are treated as misses and evicted lazily on
-    /// lookup. `None` keeps entries until LRU eviction.
-    pub ttl: Option<Duration>,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        Self { enabled: true, capacity: 4096, shards: 8, ttl: None }
+        Self { enabled: true, capacity: 4096, shards: 8 }
     }
 }
 
@@ -39,9 +36,6 @@ impl CacheConfig {
     /// Panics unless the configuration is usable.
     pub fn validate(&self) {
         assert!(self.shards > 0, "cache shards must be positive");
-        if let Some(ttl) = self.ttl {
-            assert!(ttl > Duration::ZERO, "cache ttl must be positive when set");
-        }
     }
 }
 
@@ -308,10 +302,6 @@ pub struct ServeConfig {
     /// Batch-routing policy over the replica occupancy clocks (see
     /// [`crate::replica`]).
     pub routing: Routing,
-    /// Bound on batches routed to one replica but not yet retired; when
-    /// every replica is at the bound the router blocks, which backs up the
-    /// admission queues and sheds load.
-    pub replica_queue: usize,
     /// Default per-request deadline, measured from submission: a request
     /// whose batch has not been dispatched by then is answered
     /// [`crate::ServedFrom::DeadlineExceeded`] instead of computed. `None`
@@ -352,7 +342,6 @@ impl Default for ServeConfig {
             cache: CacheConfig::default(),
             replicas: 1,
             routing: Routing::default(),
-            replica_queue: 256,
             default_deadline: None,
             fault_plan: FaultPlan::none(),
             residency: ResidencyConfig::default(),
@@ -372,7 +361,6 @@ impl ServeConfig {
         assert!(self.workers > 0, "workers must be positive");
         assert!(self.registry_shards > 0, "registry_shards must be positive");
         assert!(self.replicas > 0, "replicas must be positive");
-        assert!(self.replica_queue > 0, "replica_queue must be positive");
         self.cache.validate();
         self.fault_plan.validate();
         self.residency.validate();
@@ -413,12 +401,6 @@ mod tests {
     #[should_panic(expected = "replicas")]
     fn zero_replicas_rejected() {
         ServeConfig { replicas: 0, ..Default::default() }.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "replica_queue")]
-    fn zero_replica_queue_rejected() {
-        ServeConfig { replica_queue: 0, ..Default::default() }.validate();
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   `serve_throughput` bench quantifies;
 //! - routes each micro-batch across a simulated multi-IPU pod
 //!   ([`crate::replica`]): `replicas` simulated devices with per-replica
-//!   occupancy clocks, bounded replica queues, and pluggable policies
-//!   ([`Routing`]: round-robin, power-of-two-choices,
+//!   occupancy clocks, bounded replica queues, and one of three
+//!   [`Routing`] policies (round-robin, power-of-two-choices,
 //!   join-shortest-queue);
 //! - manages weight residency as a cache over streaming memory
 //!   ([`crate::residency`]): per-replica SRAM budgets, IPU-Link cold loads
@@ -45,10 +45,11 @@
 //!   [`ServedFrom::DeadlineExceeded`], and a fast-failing
 //!   [`SubmitError::PodDown`] once no replica can ever return;
 //! - scales the pod elastically ([`AutoscaleConfig`], [`crate::autoscale`]):
-//!   a controller thread watches windowed metric deltas
-//!   ([`ServeSnapshot::delta_since`]) and grows standbys into the routable
-//!   set (cold, unless the warm pool pre-paid their weight load — the
-//!   grown replica's `weight_load_us` is the pod's time-to-healthy) or
+//!   a controller thread watches the backlog and deadline-miss rate over
+//!   windows between metric snapshots ([`ScaleSignals`]) and grows standbys
+//!   into the routable set (cold, unless the warm pool pre-paid their
+//!   weight load — the grown replica's `weight_load_us` is the pod's
+//!   time-to-healthy) or
 //!   gracefully drains them back out, with trace-driven traffic generators
 //!   in `bfly-data` to exercise flash crowds and diurnal load;
 //! - shuts down gracefully: every admitted request is answered before
@@ -85,23 +86,19 @@ pub use cache::{hash_bytes, input_key, payload_key};
 pub use config::{AutoscaleConfig, CacheConfig, IngressConfig, QosConfig, RateLimit, ServeConfig};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use loadgen::{
-    closed_loop, closed_loop_models, closed_loop_models_with_pool, closed_loop_with_pool,
-    input_pool, open_loop, open_loop_with_pool, trace_loop, LoadReport, ZipfSampler,
-    DEFAULT_INPUT_POOL,
+    closed_loop, input_pool, open_loop, trace_loop, LoadReport, ZipfSampler, DEFAULT_INPUT_POOL,
 };
 pub use metrics::{
-    CacheStats, Histogram, IngressMetrics, IngressStats, MethodDeviceStats, ModelDelta,
-    ModelMetrics, ModelStats, RegistryShardStats, ReplicaDelta, ReplicaStats, ResidencySummary,
-    ServeSnapshot, SnapshotDelta, TenantIngressStats,
+    CacheStats, Histogram, IngressMetrics, IngressStats, MethodDeviceStats, ModelMetrics,
+    ModelStats, RegistryShardStats, ReplicaStats, ResidencySummary, ServeSnapshot,
+    TenantIngressStats,
 };
 pub use payload::Payload;
 pub use registry::{
     DeviceEstimate, ModelEntry, ModelLocation, ModelRegistry, ModelSpec, PrebuiltModel,
     DEFAULT_REGISTRY_SHARDS,
 };
-pub use replica::{
-    JoinShortestQueue, PowerOfTwoChoices, ReplicaOccupancy, RoundRobin, RoutePolicy, Routing,
-};
+pub use replica::Routing;
 pub use request::{InferResponse, ResponseHandle, ServedFrom, SubmitError, Timing};
 pub use residency::{ResidencyConfig, ResidencyPolicy, TenantQuota};
 pub use server::Server;

@@ -8,11 +8,11 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::time::{Duration, Instant};
 
-/// Default number of distinct random input vectors a generator cycles
-/// through (pre-generated so the submission path measures the server, not
-/// the RNG). The `*_with_pool` variants take an explicit size: the pool is
-/// the *input-reuse knob* — with the response cache on, a pool of `p`
-/// against `n ≫ p` requests yields a steady-state hit rate of about
+/// A conventional number of distinct random input vectors for a generator
+/// to cycle through (pre-generated so the submission path measures the
+/// server, not the RNG). Every generator takes its pool size explicitly:
+/// the pool is the *input-reuse knob* — with the response cache on, a pool
+/// of `p` against `n ≫ p` requests yields a steady-state hit rate of about
 /// `1 - p/n`, so sweeping `p` sweeps the cache's effectiveness.
 pub const DEFAULT_INPUT_POOL: usize = 32;
 
@@ -180,29 +180,8 @@ impl Outcomes {
     }
 }
 
-fn report_from(
-    offered: u64,
-    accepted: u64,
-    shed: u64,
-    refused_pod_down: u64,
-    outcomes: Outcomes,
-    elapsed_s: f64,
-    submit_window_s: f64,
-) -> LoadReport {
-    report_with_slo(
-        offered,
-        accepted,
-        shed,
-        refused_pod_down,
-        outcomes,
-        elapsed_s,
-        submit_window_s,
-        None,
-    )
-}
-
 #[allow(clippy::too_many_arguments)]
-fn report_with_slo(
+fn report(
     offered: u64,
     accepted: u64,
     shed: u64,
@@ -285,15 +264,10 @@ pub fn input_pool(dim: usize, pool_size: usize, rng: &mut ChaCha8Rng) -> Vec<Pay
 /// Open-loop generator: submits `total` requests with seeded Poisson
 /// arrivals at `rate_hz`, never waiting for responses during the submission
 /// window (arrivals are independent of service — the generator that can
-/// overload the server and exercise shedding). Cycles through
-/// [`DEFAULT_INPUT_POOL`] distinct inputs.
-pub fn open_loop(server: &Server, model: &str, rate_hz: f64, total: u64, seed: u64) -> LoadReport {
-    open_loop_with_pool(server, model, rate_hz, total, seed, DEFAULT_INPUT_POOL)
-}
-
-/// [`open_loop`] with an explicit input-pool size (the input-reuse knob:
-/// smaller pools mean more repeated inputs, i.e. more cache hits).
-pub fn open_loop_with_pool(
+/// overload the server and exercise shedding). Cycles through `pool_size`
+/// distinct inputs (the input-reuse knob: smaller pools mean more repeated
+/// inputs, i.e. more cache hits).
+pub fn open_loop(
     server: &Server,
     model: &str,
     rate_hz: f64,
@@ -302,42 +276,17 @@ pub fn open_loop_with_pool(
     pool_size: usize,
 ) -> LoadReport {
     assert!(rate_hz > 0.0, "open_loop needs a positive rate");
-    let dim = server.config().dim;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let inputs = input_pool(dim, pool_size, &mut rng);
-
-    let mut handles: Vec<ResponseHandle> = Vec::with_capacity(total as usize);
-    let mut shed = 0u64;
-    let mut refused_pod_down = 0u64;
-    let start = Instant::now();
-    let mut next_arrival = start;
-    for i in 0..total {
+    let inputs = input_pool(server.config().dim, pool_size, &mut rng);
+    let mut next_arrival: Option<Instant> = None;
+    let due = |start: Instant, _: usize| {
         // Exponential inter-arrival via inverse CDF.
         let u: f64 = rng.gen();
-        next_arrival += Duration::from_secs_f64(-(1.0 - u).ln() / rate_hz);
-        let now = Instant::now();
-        if next_arrival > now {
-            std::thread::sleep(next_arrival - now);
-        }
-        match server.submit(model, i, i, inputs[(i as usize) % inputs.len()].clone()) {
-            Ok(handle) => handles.push(handle),
-            Err(SubmitError::Overloaded) => shed += 1,
-            // A dead pod refuses everything; keep offering so the report
-            // still reflects the intended load.
-            Err(SubmitError::PodDown) => refused_pod_down += 1,
-            Err(e) => panic!("open_loop submit failed: {e}"),
-        }
-    }
-    let submit_window_s = start.elapsed().as_secs_f64();
-
-    let accepted = handles.len() as u64;
-    let mut outcomes = Outcomes::default();
-    for handle in handles {
-        let response = handle.wait().expect("admitted requests are always answered");
-        outcomes.absorb(&response);
-    }
-    let elapsed_s = start.elapsed().as_secs_f64();
-    report_from(total, accepted, shed, refused_pod_down, outcomes, elapsed_s, submit_window_s)
+        let at = next_arrival.get_or_insert(start);
+        *at += Duration::from_secs_f64(-(1.0 - u).ln() / rate_hz);
+        *at
+    };
+    replay(server, model, &inputs, total, due, None)
 }
 
 /// Trace-driven open-loop generator: replays a pre-computed arrival
@@ -362,26 +311,40 @@ pub fn trace_loop(
     pool_size: usize,
     slo_sim_us: Option<f64>,
 ) -> LoadReport {
-    let dim = server.config().dim;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let inputs = input_pool(dim, pool_size, &mut rng);
+    let inputs = input_pool(server.config().dim, pool_size, &mut rng);
+    let due = |start: Instant, i: usize| start + Duration::from_secs_f64(arrivals[i].max(0.0));
+    replay(server, model, &inputs, arrivals.len() as u64, due, slo_sim_us)
+}
 
-    let mut handles: Vec<ResponseHandle> = Vec::with_capacity(arrivals.len());
+/// The open-loop core of [`open_loop`] and [`trace_loop`]: offers request
+/// `i` at `due(start, i)`, cycling through `inputs`, then waits for every
+/// admitted response.
+fn replay(
+    server: &Server,
+    model: &str,
+    inputs: &[Payload],
+    offered: u64,
+    mut due: impl FnMut(Instant, usize) -> Instant,
+    slo_sim_us: Option<f64>,
+) -> LoadReport {
+    let mut handles: Vec<ResponseHandle> = Vec::with_capacity(offered as usize);
     let mut shed = 0u64;
     let mut refused_pod_down = 0u64;
     let start = Instant::now();
-    for (i, &at_s) in arrivals.iter().enumerate() {
-        let due = start + Duration::from_secs_f64(at_s.max(0.0));
+    for i in 0..offered {
+        let due = due(start, i as usize);
         let now = Instant::now();
         if due > now {
             std::thread::sleep(due - now);
         }
-        let i = i as u64;
         match server.submit(model, i, i, inputs[(i as usize) % inputs.len()].clone()) {
             Ok(handle) => handles.push(handle),
             Err(SubmitError::Overloaded) => shed += 1,
+            // A dead pod refuses everything; keep offering so the report
+            // still reflects the intended load.
             Err(SubmitError::PodDown) => refused_pod_down += 1,
-            Err(e) => panic!("trace_loop submit failed: {e}"),
+            Err(e) => panic!("open-loop submit failed: {e}"),
         }
     }
     let submit_window_s = start.elapsed().as_secs_f64();
@@ -393,8 +356,8 @@ pub fn trace_loop(
         outcomes.absorb(&response);
     }
     let elapsed_s = start.elapsed().as_secs_f64();
-    report_with_slo(
-        arrivals.len() as u64,
+    report(
+        offered,
         accepted,
         shed,
         refused_pod_down,
@@ -405,53 +368,16 @@ pub fn trace_loop(
     )
 }
 
-/// Closed-loop generator: `clients` threads each keep exactly one request in
-/// flight for `per_client` iterations (throughput is admission-controlled by
-/// construction; sheds are retried, not dropped). Cycles through
-/// [`DEFAULT_INPUT_POOL`] distinct inputs per client.
+/// Closed-loop generator over a *target model list*: `clients` threads each
+/// keep exactly one request in flight for `per_client` iterations
+/// (throughput is admission-controlled by construction; sheds are retried,
+/// not dropped). Every client cycles through `models`, starting at an
+/// offset of its client id, so a multi-model (replicated) deployment is
+/// loaded on every model at once — what a pod bench needs to warm weight
+/// residency for several models. Inputs come from one shared seeded pool
+/// of `pool_size` rows (the reuse knob, as in [`open_loop`]), so
+/// cross-client coalescing is also exercised.
 pub fn closed_loop(
-    server: &Server,
-    model: &str,
-    clients: u64,
-    per_client: u64,
-    seed: u64,
-) -> LoadReport {
-    closed_loop_with_pool(server, model, clients, per_client, seed, DEFAULT_INPUT_POOL)
-}
-
-/// [`closed_loop`] with an explicit per-client input-pool size (the
-/// input-reuse knob; all clients share one seeded pool so cross-client
-/// coalescing is also exercised).
-pub fn closed_loop_with_pool(
-    server: &Server,
-    model: &str,
-    clients: u64,
-    per_client: u64,
-    seed: u64,
-    pool_size: usize,
-) -> LoadReport {
-    closed_loop_models_with_pool(server, &[model], clients, per_client, seed, pool_size)
-}
-
-/// [`closed_loop`] over a per-client target model list with
-/// [`DEFAULT_INPUT_POOL`] distinct inputs.
-pub fn closed_loop_models(
-    server: &Server,
-    models: &[&str],
-    clients: u64,
-    per_client: u64,
-    seed: u64,
-) -> LoadReport {
-    closed_loop_models_with_pool(server, models, clients, per_client, seed, DEFAULT_INPUT_POOL)
-}
-
-/// Closed-loop generator over a *target model list*: every client cycles
-/// through `models`, starting at an offset of its client id, so a
-/// multi-model (replicated) deployment is loaded on every model at once —
-/// what a pod bench needs to warm weight residency for several models.
-/// Inputs come from one shared seeded pool of `pool_size` rows (the reuse
-/// knob, as in [`closed_loop_with_pool`]).
-pub fn closed_loop_models_with_pool(
     server: &Server,
     models: &[&str],
     clients: u64,
@@ -527,7 +453,7 @@ pub fn closed_loop_models_with_pool(
         outcomes.sim_latencies.extend(o.sim_latencies);
     }
     let offered = accepted + shed + refused_pod_down;
-    report_from(offered, accepted, shed, refused_pod_down, outcomes, elapsed_s, elapsed_s)
+    report(offered, accepted, shed, refused_pod_down, outcomes, elapsed_s, elapsed_s, None)
 }
 
 #[cfg(test)]
@@ -553,7 +479,7 @@ mod tests {
     #[test]
     fn open_loop_completes_all_accepted() {
         let server = test_server(8);
-        let report = open_loop(&server, "butterfly", 2000.0, 200, 3);
+        let report = open_loop(&server, "butterfly", 2000.0, 200, 3, DEFAULT_INPUT_POOL);
         assert_eq!(report.offered, 200);
         assert_eq!(report.accepted + report.shed, 200);
         assert_eq!(report.completed, report.accepted);
@@ -564,7 +490,7 @@ mod tests {
     #[test]
     fn closed_loop_keeps_every_request() {
         let server = test_server(4);
-        let report = closed_loop(&server, "butterfly", 4, 25, 9);
+        let report = closed_loop(&server, &["butterfly"], 4, 25, 9, DEFAULT_INPUT_POOL);
         assert_eq!(report.completed, 100);
         assert!(report.throughput_rps > 0.0);
         server.shutdown();
@@ -583,7 +509,7 @@ mod tests {
             ..Default::default()
         };
         let server = Server::start(config, &[Method::Baseline, Method::Butterfly]).expect("valid");
-        let report = closed_loop_models_with_pool(&server, &["baseline", "butterfly"], 3, 10, 9, 8);
+        let report = closed_loop(&server, &["baseline", "butterfly"], 3, 10, 9, 8);
         assert_eq!(report.completed, 30);
         let snapshot = server.shutdown();
         for m in &snapshot.models {
@@ -608,7 +534,7 @@ mod tests {
     #[test]
     fn single_input_pool_turns_repeats_into_cache_traffic() {
         let server = test_server(8);
-        let report = open_loop_with_pool(&server, "butterfly", 5000.0, 100, 11, 1);
+        let report = open_loop(&server, "butterfly", 5000.0, 100, 11, 1);
         assert_eq!(report.completed, report.accepted);
         let snapshot = server.shutdown();
         let m = &snapshot.models[0];
@@ -634,7 +560,7 @@ mod tests {
             ..Default::default()
         };
         let server = Server::start(config, &[Method::Butterfly]).expect("valid");
-        let report = closed_loop(&server, "butterfly", 3, 10, 9);
+        let report = closed_loop(&server, &["butterfly"], 3, 10, 9, DEFAULT_INPUT_POOL);
         assert_eq!(report.completed, 30);
         assert_eq!(report.deadline_exceeded, 30);
         assert_eq!(report.pod_down, 0);
@@ -742,7 +668,7 @@ mod tests {
             ..Default::default()
         };
         let server = Server::start(config, &[Method::Butterfly]).expect("valid");
-        let report = closed_loop(&server, "butterfly", 2, 20, 13);
+        let report = closed_loop(&server, &["butterfly"], 2, 20, 13, DEFAULT_INPUT_POOL);
         assert_eq!(report.completed, 40);
         assert!(report.sim_p50_us > 0.0, "computed batches reserve simulated time");
         assert!(report.sim_p50_us <= report.sim_p95_us);

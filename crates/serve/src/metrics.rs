@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Upper bound on retained samples per histogram; beyond it the recorder
 /// keeps every k-th sample so long runs stay bounded without losing the
 /// distribution's shape.
-const MAX_SAMPLES: usize = 1 << 17;
+pub(crate) const MAX_SAMPLES: usize = 1 << 17;
 
 /// An exact-sample histogram with percentile queries.
 ///
@@ -54,6 +54,12 @@ impl Histogram {
         if s.count.is_multiple_of(s.stride) {
             s.samples.push(value);
         }
+    }
+
+    /// Samples currently retained (at most [`MAX_SAMPLES`]).
+    #[cfg(test)]
+    pub(crate) fn retained(&self) -> usize {
+        self.state.lock().samples.len()
     }
 
     /// Number of observations.
@@ -373,8 +379,6 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries evicted by LRU pressure.
     pub evictions: u64,
-    /// Entries evicted by TTL expiry.
-    pub expired: u64,
 }
 
 impl CacheStats {
@@ -392,7 +396,6 @@ impl CacheStats {
             hit_rate: 0.0,
             insertions: 0,
             evictions: 0,
-            expired: 0,
         }
     }
 }
@@ -686,176 +689,6 @@ impl ServeSnapshot {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string())
     }
-
-    /// The interval view between an earlier snapshot of the *same server*
-    /// and this one: every monotonic counter differenced, every
-    /// point-in-time gauge (queue depths, in-flight batches) read from
-    /// `self`, and the windowed rates the autoscaler steers on
-    /// (deadline-miss rate, shed rate, throughput) computed over the
-    /// window.
-    ///
-    /// Latency quantiles are deliberately absent: the underlying
-    /// histograms are cumulative and systematically thinned (see
-    /// [`Histogram`]), so two snapshots' percentiles describe overlapping
-    /// lifetime sample sets and cannot be differenced into a windowed
-    /// percentile. Differencing the histogram *count* stays exact — the
-    /// thinning only bounds retained samples, never the observation count
-    /// — which is why `completed`, `batches` and the miss counters are
-    /// safe to subtract.
-    ///
-    /// Models are matched by name and replicas by index; entries that
-    /// only exist in `self` (none today — fleets and pods are fixed at
-    /// start) are reported against a zero baseline. Counters use
-    /// saturating subtraction so a mismatched `prev` degrades to zeros
-    /// rather than wrapping.
-    pub fn delta_since(&self, prev: &ServeSnapshot) -> SnapshotDelta {
-        let model_prev = |name: &str| prev.models.iter().find(|m| m.model == name);
-        let models: Vec<ModelDelta> = self
-            .models
-            .iter()
-            .map(|m| {
-                let p = model_prev(&m.model);
-                let zero = |f: fn(&ModelStats) -> u64| f(m).saturating_sub(p.map_or(0, f));
-                ModelDelta {
-                    model: m.model.clone(),
-                    admitted: zero(|m| m.admitted),
-                    shed: zero(|m| m.shed),
-                    completed: zero(|m| m.completed),
-                    batches: zero(|m| m.batches),
-                    deadline_exceeded: zero(|m| m.deadline_exceeded),
-                    pod_down: zero(|m| m.pod_down),
-                    device_us: (m.device_us - p.map_or(0.0, |p| p.device_us)).max(0.0),
-                    queue_depth: m.queue_depth,
-                }
-            })
-            .collect();
-        let replicas: Vec<ReplicaDelta> = self
-            .replicas
-            .iter()
-            .map(|r| {
-                let p = prev.replicas.iter().find(|p| p.replica == r.replica);
-                ReplicaDelta {
-                    replica: r.replica,
-                    batches: r.batches.saturating_sub(p.map_or(0, |p| p.batches)),
-                    requests: r.requests.saturating_sub(p.map_or(0, |p| p.requests)),
-                    device_us: (r.device_us - p.map_or(0.0, |p| p.device_us)).max(0.0),
-                    weight_load_us: (r.weight_load_us - p.map_or(0.0, |p| p.weight_load_us))
-                        .max(0.0),
-                    queue_depth: r.queue_depth,
-                    up: r.up,
-                }
-            })
-            .collect();
-        let sum = |f: fn(&ModelDelta) -> u64| models.iter().map(f).sum::<u64>();
-        let completed = sum(|m| m.completed);
-        let deadline_exceeded = sum(|m| m.deadline_exceeded);
-        let shed = sum(|m| m.shed);
-        let admitted = sum(|m| m.admitted);
-        let window_s = (self.elapsed_s - prev.elapsed_s).max(0.0);
-        let offered = completed + shed;
-        SnapshotDelta {
-            window_s,
-            admitted,
-            shed,
-            completed,
-            batches: sum(|m| m.batches),
-            deadline_exceeded,
-            pod_down: sum(|m| m.pod_down),
-            device_us: (self.total_device_us - prev.total_device_us).max(0.0),
-            deadline_miss_rate: if completed == 0 {
-                0.0
-            } else {
-                deadline_exceeded as f64 / completed as f64
-            },
-            shed_rate: if offered == 0 { 0.0 } else { shed as f64 / offered as f64 },
-            throughput_rps: if window_s > 0.0 { completed as f64 / window_s } else { 0.0 },
-            queue_depth: self.models.iter().map(|m| m.queue_depth).sum(),
-            inflight_batches: self.replicas.iter().map(|r| r.queue_depth).sum(),
-            models,
-            replicas,
-        }
-    }
-}
-
-/// Windowed (interval) serving statistics: the difference between two
-/// [`ServeSnapshot`]s of the same server. What the autoscaler — and any
-/// operator dashboard — steers on instead of lifetime cumulative tallies.
-#[derive(Debug, Clone, Serialize)]
-pub struct SnapshotDelta {
-    /// Seconds between the two snapshots.
-    pub window_s: f64,
-    /// Requests admitted during the window.
-    pub admitted: u64,
-    /// Requests shed during the window.
-    pub shed: u64,
-    /// Responses delivered during the window.
-    pub completed: u64,
-    /// Micro-batches dispatched during the window.
-    pub batches: u64,
-    /// Requests answered `DeadlineExceeded` during the window.
-    pub deadline_exceeded: u64,
-    /// Requests answered `PodDown` during the window.
-    pub pod_down: u64,
-    /// Simulated device µs retired during the window.
-    pub device_us: f64,
-    /// deadline_exceeded / completed over the window.
-    pub deadline_miss_rate: f64,
-    /// shed / (completed + shed) over the window.
-    pub shed_rate: f64,
-    /// completed / window_s.
-    pub throughput_rps: f64,
-    /// Admission-queue depth at the *newer* snapshot (a gauge, not a
-    /// difference), summed over models.
-    pub queue_depth: usize,
-    /// Batches routed but not yet retired at the newer snapshot, summed
-    /// over replicas — the pod-side occupancy gauge.
-    pub inflight_batches: usize,
-    /// Per-model interval counters.
-    pub models: Vec<ModelDelta>,
-    /// Per-replica interval counters.
-    pub replicas: Vec<ReplicaDelta>,
-}
-
-/// One model's share of a [`SnapshotDelta`] window.
-#[derive(Debug, Clone, Serialize)]
-pub struct ModelDelta {
-    /// Model name (registry key).
-    pub model: String,
-    /// Requests admitted during the window.
-    pub admitted: u64,
-    /// Requests shed during the window.
-    pub shed: u64,
-    /// Responses delivered during the window.
-    pub completed: u64,
-    /// Micro-batches dispatched during the window.
-    pub batches: u64,
-    /// Requests answered `DeadlineExceeded` during the window.
-    pub deadline_exceeded: u64,
-    /// Requests answered `PodDown` during the window.
-    pub pod_down: u64,
-    /// Simulated device µs retired during the window.
-    pub device_us: f64,
-    /// Admission-queue depth at the newer snapshot (gauge).
-    pub queue_depth: usize,
-}
-
-/// One replica's share of a [`SnapshotDelta`] window.
-#[derive(Debug, Clone, Serialize)]
-pub struct ReplicaDelta {
-    /// Replica index in the pod.
-    pub replica: usize,
-    /// Batches retired during the window.
-    pub batches: u64,
-    /// Requests inside those batches.
-    pub requests: u64,
-    /// Simulated device µs retired during the window.
-    pub device_us: f64,
-    /// Weight-transfer µs paid during the window (cold loads + page-ins).
-    pub weight_load_us: f64,
-    /// Batches in flight at the newer snapshot (gauge).
-    pub queue_depth: usize,
-    /// Whether the replica was healthy at the newer snapshot.
-    pub up: bool,
 }
 
 #[cfg(test)]
@@ -1092,142 +925,6 @@ mod tests {
         let disabled = IngressStats::disabled();
         assert!(!disabled.enabled);
         assert!(disabled.tenants.is_empty());
-    }
-
-    fn wrap_snapshot(elapsed_s: f64, models: Vec<ModelStats>) -> ServeSnapshot {
-        let total_device_us = models.iter().map(|m| m.device_us).sum();
-        let methods = MethodDeviceStats::rollup(&models);
-        ServeSnapshot {
-            elapsed_s,
-            models,
-            methods,
-            shards: vec![],
-            replicas: vec![],
-            total_device_us,
-            pod_makespan_us: 0.0,
-            cache: CacheStats::disabled(),
-            ingress: IngressStats::disabled(),
-            residency: ResidencySummary::from_replicas(None, "lru", vec![], &[]),
-        }
-    }
-
-    #[test]
-    fn delta_subtracts_counters_and_reads_gauges_from_the_newer_snapshot() {
-        let m = ModelMetrics::default();
-        let timing = |source| Timing {
-            queue_us: 5,
-            service_us: 10,
-            total_us: 15,
-            batch_size: 2,
-            ipu_batch_us: None,
-            gpu_batch_us: None,
-            sim_batch_us: None,
-            source,
-            replica: Some(0),
-        };
-        m.admitted.fetch_add(4, Ordering::Relaxed);
-        m.record_batch(2);
-        m.record_response(&timing(ServedFrom::Compute));
-        m.record_response(&timing(ServedFrom::Compute));
-        let prev = wrap_snapshot(
-            1.0,
-            vec![m.snapshot("x", "t", "Butterfly", 0, 1.0, 7, 0, 1_000, (0, 0, 0))],
-        );
-
-        m.admitted.fetch_add(6, Ordering::Relaxed);
-        m.shed.fetch_add(2, Ordering::Relaxed);
-        m.record_batch(3);
-        m.record_batch(3);
-        m.record_response(&timing(ServedFrom::Compute));
-        m.record_response(&timing(ServedFrom::DeadlineExceeded));
-        m.record_response(&timing(ServedFrom::DeadlineExceeded));
-        m.record_response(&timing(ServedFrom::PodDown));
-        let now = wrap_snapshot(
-            3.0,
-            vec![m.snapshot("x", "t", "Butterfly", 0, 3.0, 9, 0, 4_000, (0, 0, 0))],
-        );
-
-        let d = now.delta_since(&prev);
-        assert_eq!(d.window_s, 2.0);
-        assert_eq!(d.admitted, 6);
-        assert_eq!(d.shed, 2);
-        assert_eq!(d.completed, 4, "only the window's responses");
-        assert_eq!(d.batches, 2);
-        assert_eq!(d.deadline_exceeded, 2);
-        assert_eq!(d.pod_down, 1);
-        assert!((d.device_us - 3.0).abs() < 1e-9, "4000 ns - 1000 ns in µs");
-        assert!((d.deadline_miss_rate - 0.5).abs() < 1e-12, "2 misses in 4 responses");
-        assert!((d.shed_rate - 2.0 / 6.0).abs() < 1e-12);
-        assert!((d.throughput_rps - 2.0).abs() < 1e-12, "4 responses / 2 s");
-        assert_eq!(d.queue_depth, 9, "gauge comes from the newer snapshot");
-        assert_eq!(d.models.len(), 1);
-        assert_eq!(d.models[0].deadline_exceeded, 2);
-    }
-
-    #[test]
-    fn delta_counter_math_stays_exact_across_histogram_thinning() {
-        // Push the latency histogram through several thinning halvings
-        // between the two snapshots: retained samples shrink, but the
-        // observation *counters* the delta subtracts are never thinned, so
-        // the window math stays exact.
-        let m = ModelMetrics::default();
-        let timing = Timing {
-            queue_us: 1,
-            service_us: 1,
-            total_us: 2,
-            batch_size: 1,
-            ipu_batch_us: None,
-            gpu_batch_us: None,
-            sim_batch_us: None,
-            source: ServedFrom::Compute,
-            replica: Some(0),
-        };
-        let before = 10u64;
-        for _ in 0..before {
-            m.record_response(&timing);
-        }
-        let prev =
-            wrap_snapshot(1.0, vec![m.snapshot("x", "t", "Butterfly", 0, 1.0, 0, 0, 0, (0, 0, 0))]);
-
-        let during = (MAX_SAMPLES as u64) * 3; // forces at least one halving
-        for _ in 0..during {
-            m.record_response(&timing);
-        }
-        {
-            let s = m.latency_us.state.lock();
-            assert!(s.stride > 1, "thinning must have engaged for this test to bite");
-            assert!(s.samples.len() <= MAX_SAMPLES);
-        }
-        let now =
-            wrap_snapshot(2.0, vec![m.snapshot("x", "t", "Butterfly", 0, 2.0, 0, 0, 0, (0, 0, 0))]);
-
-        let d = now.delta_since(&prev);
-        assert_eq!(d.completed, during, "counter delta is exact despite thinned samples");
-        assert_eq!(m.latency_us.count(), before + during, "lifetime count also exact");
-    }
-
-    #[test]
-    fn delta_against_a_mismatched_prev_saturates_to_zero() {
-        let m = ModelMetrics::default();
-        m.admitted.fetch_add(3, Ordering::Relaxed);
-        let bigger =
-            wrap_snapshot(1.0, vec![m.snapshot("x", "t", "Butterfly", 0, 1.0, 0, 0, 0, (0, 0, 0))]);
-        let n = ModelMetrics::default();
-        let smaller =
-            wrap_snapshot(2.0, vec![n.snapshot("x", "t", "Butterfly", 0, 2.0, 0, 0, 0, (0, 0, 0))]);
-        // `smaller` has lower counters than `bigger`: subtraction saturates.
-        let d = smaller.delta_since(&bigger);
-        assert_eq!(d.admitted, 0);
-        assert_eq!(d.completed, 0);
-        // A model unknown to `prev` is differenced against a zero baseline.
-        let fresh = ModelMetrics::default();
-        fresh.admitted.fetch_add(5, Ordering::Relaxed);
-        let unseen = wrap_snapshot(
-            3.0,
-            vec![fresh.snapshot("new", "t", "Butterfly", 0, 3.0, 0, 0, 0, (0, 0, 0))],
-        );
-        let d2 = unseen.delta_since(&bigger);
-        assert_eq!(d2.admitted, 5);
     }
 
     #[test]

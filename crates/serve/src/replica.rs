@@ -11,15 +11,15 @@
 //! maximum occupancy clock, and throughput in device time scales with how
 //! evenly the router spreads batches.
 //!
-//! Routing is pluggable through [`RoutePolicy`]; the shipped policies are
-//! [`JoinShortestQueue`] (scan every clock, pick the least busy),
-//! [`PowerOfTwoChoices`] (sample two replicas, pick the less busy — the
-//! cheap default), and [`RoundRobin`] (the baseline). Each replica also has
-//! a bounded queue of outstanding (routed but unsettled) batches: a policy
-//! pick that lands on a full replica falls back to the least-busy replica
-//! with space, and when every healthy queue is full the router blocks until
-//! a worker settles a batch — backpressure that eventually fills the
-//! admission queues and sheds load, exactly like the pre-pod batch queue did.
+//! Routing is one of three [`Routing`] policies: join-shortest-queue (scan
+//! every clock, pick the least busy), power-of-two-choices (sample two
+//! replicas, pick the less busy — the cheap default), and round-robin (the
+//! baseline). Each replica also has a bounded queue of outstanding (routed
+//! but unsettled) batches: a policy pick that lands on a full replica falls
+//! back to the least-busy replica with space, and when every healthy queue
+//! is full the router blocks until a worker settles a batch — backpressure
+//! that eventually fills the admission queues and sheds load, exactly like
+//! the pre-pod batch queue did.
 //!
 //! Model weights are tracked per replica by the [`crate::residency`]
 //! manager, which owns each replica's SRAM as a budgeted cache over
@@ -75,7 +75,8 @@ use bfly_ipu::PodSpec;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Config-level routing policy selector (see [`crate::ServeConfig`]).
+/// Batch-routing policy over the pod's occupancy clocks (selected by
+/// [`crate::ServeConfig::routing`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Routing {
     /// Cycle replicas in order, ignoring occupancy — the baseline.
@@ -98,12 +99,42 @@ impl Routing {
         }
     }
 
-    /// Instantiates the policy behind the selector.
-    pub fn build(&self) -> Box<dyn RoutePolicy> {
+    /// Picks the position in `occupancy` for the next batch. `occupancy`
+    /// is a consistent snapshot of every *healthy* replica (never empty;
+    /// each entry carries its pod-wide index in `replica`, which may be
+    /// non-contiguous when some replicas are down). `tick` is the pod's
+    /// routing counter: round-robin advances it on every pick, p2c on every
+    /// pick with a real choice to make (its sample is a splitmix hash of
+    /// the tick), JSQ never.
+    pub(crate) fn choose(self, tick: &AtomicU64, occupancy: &[ReplicaOccupancy]) -> usize {
+        let n = occupancy.len();
         match self {
-            Routing::RoundRobin => Box::new(RoundRobin::default()),
-            Routing::PowerOfTwoChoices => Box::new(PowerOfTwoChoices::default()),
-            Routing::JoinShortestQueue => Box::new(JoinShortestQueue),
+            Routing::RoundRobin => (tick.fetch_add(1, Ordering::Relaxed) % n as u64) as usize,
+            Routing::PowerOfTwoChoices => {
+                if n == 1 {
+                    return 0;
+                }
+                let r = splitmix64(tick.fetch_add(1, Ordering::Relaxed));
+                let a = (r % n as u64) as usize;
+                let mut b = ((r >> 32) % n as u64) as usize;
+                if b == a {
+                    b = (a + 1) % n;
+                }
+                if less_busy(&occupancy[a], &occupancy[b]) {
+                    a
+                } else {
+                    b
+                }
+            }
+            Routing::JoinShortestQueue => {
+                let mut best = 0;
+                for (i, o) in occupancy.iter().enumerate().skip(1) {
+                    if less_busy(o, &occupancy[best]) {
+                        best = i;
+                    }
+                }
+                best
+            }
         }
     }
 }
@@ -121,9 +152,14 @@ impl std::str::FromStr for Routing {
     }
 }
 
-/// One replica's occupancy as seen by a routing policy.
+/// Bound on batches routed to one replica but not yet retired; when every
+/// healthy replica is at the bound the router blocks, which backs up the
+/// admission queues and sheds load.
+pub(crate) const REPLICA_QUEUE: usize = 256;
+
+/// One replica's occupancy as seen by [`Routing::choose`].
 #[derive(Debug, Clone, Copy)]
-pub struct ReplicaOccupancy {
+pub(crate) struct ReplicaOccupancy {
     /// Replica index in the pod.
     pub replica: usize,
     /// Busy-until timestamp in simulated device nanoseconds: the cumulative
@@ -131,37 +167,6 @@ pub struct ReplicaOccupancy {
     pub busy_until_ns: u64,
     /// Batches routed to this replica and not yet settled by a worker.
     pub outstanding: usize,
-}
-
-/// A batch-routing policy over the pod's occupancy clocks.
-///
-/// `choose` receives a consistent snapshot of every *healthy* replica (the
-/// slice is never empty; each entry carries its pod-wide index in
-/// `replica`, which may be non-contiguous when some replicas are down) and
-/// returns a position *into the slice*; out-of-range picks are clamped by
-/// the router, and a pick whose queue is full falls back to the least-busy
-/// healthy replica with space.
-pub trait RoutePolicy: Send + Sync {
-    /// Short label used in bench output and JSON.
-    fn name(&self) -> &'static str;
-    /// Picks the position in `occupancy` for the next batch.
-    fn choose(&self, occupancy: &[ReplicaOccupancy]) -> usize;
-}
-
-/// The baseline policy: cycle replicas in index order.
-#[derive(Debug, Default)]
-pub struct RoundRobin {
-    next: AtomicU64,
-}
-
-impl RoutePolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "rr"
-    }
-
-    fn choose(&self, occupancy: &[ReplicaOccupancy]) -> usize {
-        (self.next.fetch_add(1, Ordering::Relaxed) % occupancy.len() as u64) as usize
-    }
 }
 
 fn splitmix64(x: u64) -> u64 {
@@ -175,59 +180,6 @@ fn splitmix64(x: u64) -> u64 {
 /// batches, then the lower index (deterministic tie-break).
 fn less_busy(a: &ReplicaOccupancy, b: &ReplicaOccupancy) -> bool {
     (a.busy_until_ns, a.outstanding, a.replica) < (b.busy_until_ns, b.outstanding, b.replica)
-}
-
-/// Sample two distinct replicas with a seeded counter hash, route to the
-/// less busy one — the classic load-balancing result that gets within a
-/// constant factor of join-shortest-queue at O(1) inspection cost.
-#[derive(Debug, Default)]
-pub struct PowerOfTwoChoices {
-    state: AtomicU64,
-}
-
-impl RoutePolicy for PowerOfTwoChoices {
-    fn name(&self) -> &'static str {
-        "p2c"
-    }
-
-    fn choose(&self, occupancy: &[ReplicaOccupancy]) -> usize {
-        let n = occupancy.len();
-        if n == 1 {
-            return 0;
-        }
-        let r = splitmix64(self.state.fetch_add(1, Ordering::Relaxed));
-        let a = (r % n as u64) as usize;
-        let mut b = ((r >> 32) % n as u64) as usize;
-        if b == a {
-            b = (a + 1) % n;
-        }
-        if less_busy(&occupancy[a], &occupancy[b]) {
-            a
-        } else {
-            b
-        }
-    }
-}
-
-/// Scan every replica and route to the one with the smallest occupancy
-/// clock: optimal balance, O(replicas) per batch.
-#[derive(Debug, Default)]
-pub struct JoinShortestQueue;
-
-impl RoutePolicy for JoinShortestQueue {
-    fn name(&self) -> &'static str {
-        "jsq"
-    }
-
-    fn choose(&self, occupancy: &[ReplicaOccupancy]) -> usize {
-        let mut best = 0;
-        for (i, o) in occupancy.iter().enumerate().skip(1) {
-            if less_busy(o, &occupancy[best]) {
-                best = i;
-            }
-        }
-        best
-    }
 }
 
 /// Per-replica scheduling state, all under the pod's one mutex (routing and
@@ -345,7 +297,9 @@ pub(crate) struct PodStats {
 /// The simulated pod: replica occupancy clocks, weight residency, fault
 /// replay, and the routing policy, shared by every batcher and worker.
 pub(crate) struct Pod {
-    policy: Box<dyn RoutePolicy>,
+    routing: Routing,
+    /// The routing counter handed to [`Routing::choose`].
+    tick: AtomicU64,
     /// Per-replica bound on outstanding batches.
     capacity: usize,
     state: Mutex<PodState>,
@@ -378,7 +332,7 @@ impl Pod {
     pub fn new(
         spec: PodSpec,
         active: usize,
-        policy: Box<dyn RoutePolicy>,
+        routing: Routing,
         capacity: usize,
         profiles: Vec<ModelProfile>,
         tenants: Vec<String>,
@@ -420,7 +374,8 @@ impl Pod {
             next_event: 0,
         };
         Self {
-            policy,
+            routing,
+            tick: AtomicU64::new(0),
             capacity,
             state: Mutex::new(state),
             freed: Condvar::new(),
@@ -568,7 +523,7 @@ impl Pod {
             if occupancy.is_empty() {
                 return Err(PodDown);
             }
-            let pos = self.policy.choose(&occupancy).min(occupancy.len() - 1);
+            let pos = self.routing.choose(&self.tick, &occupancy);
             let mut pick = occupancy[pos].replica;
             if guard.replicas[pick].outstanding >= self.capacity {
                 let fallback = occupancy
@@ -839,7 +794,7 @@ mod tests {
 
     fn pod_with(
         replicas: usize,
-        policy: Routing,
+        routing: Routing,
         capacity: usize,
         bytes: &[u64],
         residency: &ResidencyConfig,
@@ -848,7 +803,7 @@ mod tests {
         Pod::new(
             PodSpec::with_ipus(replicas),
             replicas,
-            policy.build(),
+            routing,
             capacity,
             profiles(bytes),
             vec!["default".to_string()],
@@ -862,7 +817,7 @@ mod tests {
         Pod::new(
             PodSpec::with_ipus(replicas),
             active,
-            Routing::RoundRobin.build(),
+            Routing::RoundRobin,
             64,
             profiles(bytes),
             vec!["default".to_string()],
@@ -871,10 +826,10 @@ mod tests {
         )
     }
 
-    fn pod(replicas: usize, policy: Routing, capacity: usize, models: usize) -> Pod {
+    fn pod(replicas: usize, routing: Routing, capacity: usize, models: usize) -> Pod {
         pod_with(
             replicas,
-            policy,
+            routing,
             capacity,
             &vec![0u64; models],
             &ResidencyConfig::default(),
@@ -891,32 +846,87 @@ mod tests {
 
     #[test]
     fn round_robin_cycles_every_replica() {
-        let p = RoundRobin::default();
+        let tick = AtomicU64::new(0);
         let occ = occupancy(&[5, 0, 9, 2]);
-        let picks: Vec<usize> = (0..8).map(|_| p.choose(&occ)).collect();
+        let picks: Vec<usize> = (0..8).map(|_| Routing::RoundRobin.choose(&tick, &occ)).collect();
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]
     fn jsq_picks_the_least_busy_clock() {
-        let p = JoinShortestQueue;
-        assert_eq!(p.choose(&occupancy(&[50, 10, 30])), 1);
-        assert_eq!(p.choose(&occupancy(&[10, 10, 30])), 0, "ties break to the lower index");
+        let tick = AtomicU64::new(0);
+        let jsq = |occ: &[ReplicaOccupancy]| Routing::JoinShortestQueue.choose(&tick, occ);
+        assert_eq!(jsq(&occupancy(&[50, 10, 30])), 1);
+        assert_eq!(jsq(&occupancy(&[10, 10, 30])), 0, "ties break to the lower index");
         let mut occ = occupancy(&[10, 10]);
         occ[0].outstanding = 3;
-        assert_eq!(p.choose(&occ), 1, "equal clocks break on outstanding batches");
+        assert_eq!(jsq(&occ), 1, "equal clocks break on outstanding batches");
+        assert_eq!(tick.load(Ordering::Relaxed), 0, "jsq never draws from the counter");
     }
 
     #[test]
     fn p2c_always_prefers_the_less_busy_of_its_pair() {
-        let p = PowerOfTwoChoices::default();
+        let tick = AtomicU64::new(0);
+        let p2c = |occ: &[ReplicaOccupancy]| Routing::PowerOfTwoChoices.choose(&tick, occ);
         // One replica is far busier than the rest: p2c must never pick it
         // (whenever it is sampled, its partner is less busy).
         let occ = occupancy(&[1_000_000, 3, 7, 5]);
         for _ in 0..64 {
-            assert_ne!(p.choose(&occ), 0);
+            assert_ne!(p2c(&occ), 0);
         }
-        assert_eq!(p.choose(&occupancy(&[42])), 0, "single replica short-circuits");
+        assert_eq!(p2c(&occupancy(&[42])), 0, "single replica short-circuits");
+        assert_eq!(tick.load(Ordering::Relaxed), 64, "a forced pick draws no sample");
+    }
+
+    /// The exact replica each policy picks for a fixed sequence of 64
+    /// batches over a 4-replica pod: two models of unequal size (so cold
+    /// loads skew the clocks), varying costs, a queue bound of 2 and each
+    /// batch settled five routes later (so the full-pick fallback and the
+    /// outstanding-count tie-break both engage). Pins the policies —
+    /// including p2c's splitmix sampling — against silent drift.
+    #[test]
+    fn routing_pick_sequences_are_pinned() {
+        #[rustfmt::skip]
+        let pinned = [
+            (Routing::RoundRobin, [
+                0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3,
+                0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3,
+                0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3,
+            ]),
+            (Routing::PowerOfTwoChoices, [
+                1, 0, 2, 1, 3, 2, 0, 3, 2, 0, 3, 1, 2, 3, 0, 1, 3, 0, 2, 1, 0, 3, 1, 2,
+                0, 1, 2, 3, 0, 1, 2, 3, 1, 0, 2, 1, 3, 0, 2, 0, 2, 1, 3, 0, 2, 0, 1, 1,
+                2, 0, 3, 0, 2, 1, 3, 0, 1, 2, 3, 0, 3, 1, 2, 1,
+            ]),
+            (Routing::JoinShortestQueue, [
+                0, 1, 2, 3, 0, 2, 0, 1, 2, 3, 1, 0, 2, 1, 3, 0, 2, 1, 0, 3, 1, 2, 3, 1,
+                0, 3, 1, 2, 3, 0, 1, 3, 2, 0, 1, 0, 2, 3, 1, 0, 3, 1, 2, 3, 0, 2, 3, 1,
+                0, 3, 2, 0, 3, 1, 0, 2, 1, 2, 3, 1, 0, 3, 2, 0,
+            ]),
+        ];
+        for (routing, want) in pinned {
+            let p = pod_with(
+                4,
+                routing,
+                2,
+                &[4_000, 1_000_000],
+                &ResidencyConfig::default(),
+                &FaultPlan::none(),
+            );
+            let mut picks = Vec::new();
+            let mut in_flight = std::collections::VecDeque::new();
+            for i in 0..64u64 {
+                let model = usize::from(i % 3 == 0);
+                let d = p.route(model, 5.0 + ((i * 37) % 23) as f64).unwrap();
+                picks.push(d.replica);
+                in_flight.push_back((model, d));
+                if in_flight.len() > 5 {
+                    let (m, d) = in_flight.pop_front().unwrap();
+                    p.settle(m, &d, 1);
+                }
+            }
+            assert_eq!(picks, want, "{} pick sequence drifted", routing.label());
+        }
     }
 
     #[test]
@@ -1043,7 +1053,7 @@ mod tests {
         assert!("nope".parse::<Routing>().is_err());
         assert_eq!(Routing::default(), Routing::PowerOfTwoChoices);
         for r in [Routing::RoundRobin, Routing::PowerOfTwoChoices, Routing::JoinShortestQueue] {
-            assert_eq!(r.build().name(), r.label());
+            assert_eq!(r.label().parse::<Routing>().unwrap(), r);
         }
     }
 

@@ -49,7 +49,7 @@ use crate::metrics::{
 };
 use crate::payload::Payload;
 use crate::registry::{DeviceEstimate, ModelRegistry, ModelSpec, PrebuiltModel};
-use crate::replica::{Pod, RouteDecision, RoutePolicy, Settle};
+use crate::replica::{Pod, RouteDecision, Settle, REPLICA_QUEUE};
 use crate::request::{
     InferRequest, InferResponse, ResponseHandle, ServedFrom, SubmitError, Timing,
 };
@@ -160,56 +160,23 @@ impl Server {
     /// fleets with explicit names.
     pub fn start(config: ServeConfig, methods: &[Method]) -> Result<Self, PixelflyError> {
         let specs: Vec<ModelSpec> = methods.iter().map(|&m| ModelSpec::of_method(m)).collect();
-        Self::start_fleet(config, &specs)
+        Self::start_fleet(config, &specs, Vec::new())
     }
 
-    /// [`Server::start`] with a caller-supplied routing policy (the
-    /// pluggable-policy escape hatch; `config.routing` is ignored).
-    pub fn start_with_policy(
-        config: ServeConfig,
-        methods: &[Method],
-        policy: Box<dyn RoutePolicy>,
-    ) -> Result<Self, PixelflyError> {
-        let specs: Vec<ModelSpec> = methods.iter().map(|&m| ModelSpec::of_method(m)).collect();
-        Self::start_fleet_with_policy(config, &specs, policy)
-    }
-
-    /// Builds a named, multi-tenant fleet: one model per [`ModelSpec`], each
-    /// with its own registry name and owning tenant (residency quotas group
-    /// resident bytes by tenant — see [`crate::ResidencyConfig`]).
-    pub fn start_fleet(config: ServeConfig, specs: &[ModelSpec]) -> Result<Self, PixelflyError> {
-        let policy = config.routing.build();
-        Self::start_fleet_with_policy(config, specs, policy)
-    }
-
-    /// [`Server::start_fleet`] with a caller-supplied routing policy.
-    pub fn start_fleet_with_policy(
-        config: ServeConfig,
-        specs: &[ModelSpec],
-        policy: Box<dyn RoutePolicy>,
-    ) -> Result<Self, PixelflyError> {
-        assert!(!specs.is_empty(), "server needs at least one model");
-        let registry = ModelRegistry::build_fleet(
-            config.dim,
-            config.classes,
-            config.seed,
-            specs,
-            config.registry_shards,
-        )?;
-        Ok(Self::start_with_registry(config, registry, policy))
-    }
-
-    /// [`Server::start_fleet`] plus caller-supplied prebuilt stacks — the
-    /// offline-compression deployment path: a compressed (or otherwise
-    /// externally trained) model keeps its exact weights and is served over
-    /// the same pod, residency and routing machinery as seed-derived fleets.
-    pub fn start_fleet_prebuilt(
+    /// Builds a named, multi-tenant fleet: one seed-derived model per
+    /// [`ModelSpec`], each with its own registry name and owning tenant
+    /// (residency quotas group resident bytes by tenant — see
+    /// [`crate::ResidencyConfig`]), then every [`PrebuiltModel`] in order.
+    /// Prebuilt stacks are the offline-compression deployment path: a
+    /// compressed (or otherwise externally trained) model keeps its exact
+    /// weights and is served over the same pod, residency and routing
+    /// machinery as seed-derived models.
+    pub fn start_fleet(
         config: ServeConfig,
         specs: &[ModelSpec],
         prebuilt: Vec<PrebuiltModel>,
     ) -> Result<Self, PixelflyError> {
         assert!(!specs.is_empty() || !prebuilt.is_empty(), "server needs at least one model");
-        let policy = config.routing.build();
         let registry = ModelRegistry::build_fleet_mixed(
             config.dim,
             config.classes,
@@ -218,18 +185,13 @@ impl Server {
             prebuilt,
             config.registry_shards,
         )?;
-        Ok(Self::start_with_registry(config, registry, policy))
+        Ok(Self::start_with_registry(config, registry))
     }
 
     /// Starts the serving runtime over an already-built registry — the
-    /// common tail every constructor funnels through.
-    pub fn start_with_registry(
-        config: ServeConfig,
-        registry: ModelRegistry,
-        policy: Box<dyn RoutePolicy>,
-    ) -> Self {
+    /// common tail of both constructors.
+    fn start_with_registry(config: ServeConfig, registry: ModelRegistry) -> Self {
         config.validate();
-        assert!(!registry.is_empty(), "server needs at least one model");
         let metrics: Vec<Arc<ModelMetrics>> =
             registry.entries().iter().map(|_| Arc::new(ModelMetrics::default())).collect();
 
@@ -281,8 +243,8 @@ impl Server {
         let pod = Pod::new(
             PodSpec::with_ipus(pod_size),
             config.replicas,
-            policy,
-            config.replica_queue,
+            config.routing,
+            REPLICA_QUEUE,
             profiles,
             tenants,
             &config.residency,
@@ -660,8 +622,8 @@ fn snapshot_of(inner: &Inner) -> ServeSnapshot {
 }
 
 /// The elastic control loop (see [`crate::autoscale`]): every
-/// `config.autoscale.interval` it diffs the metrics snapshot against the
-/// previous sample, condenses the window into [`ScaleSignals`], asks the
+/// `config.autoscale.interval` it condenses the window between the previous
+/// metrics snapshot and a fresh one into [`ScaleSignals`], asks the
 /// [`ScalePolicy`] for a decision, and applies it through `Pod::grow` /
 /// `Pod::drain` — logging every action for [`Server::autoscale_report`].
 /// Exits promptly when `stop_and_join` flips the shutdown latch.
@@ -681,14 +643,7 @@ fn autoscaler_loop(inner: &Inner) {
             }
         }
         let snap = snapshot_of(inner);
-        let delta = snap.delta_since(&prev);
-        let enrolled = inner.pod.active_replicas();
-        let signals = ScaleSignals {
-            backlog_per_replica: (delta.queue_depth + delta.inflight_batches) as f64
-                / enrolled.max(1) as f64,
-            miss_rate: delta.deadline_miss_rate,
-            enrolled,
-        };
+        let signals = ScaleSignals::window(&prev, &snap, inner.pod.active_replicas());
         state.samples.fetch_add(1, Ordering::Relaxed);
         let decision = policy.decide(signals);
         let applied = match decision {

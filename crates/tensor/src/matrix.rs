@@ -2,8 +2,9 @@
 //!
 //! This is the workhorse container of the workspace: activations, weights and
 //! materialised factorizations are all [`Matrix`] values. The layout is plain
-//! row-major with no stride tricks, which keeps kernels simple and lets rayon
-//! split work by row slices without aliasing concerns.
+//! row-major with no stride tricks, which keeps kernels simple and lets
+//! row-slice passes (written against the `rayon` API, which the vendored shim
+//! runs sequentially) split work without aliasing concerns.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};

@@ -20,7 +20,7 @@
 use bfly_core::{compress_model, Method, ModelCompressConfig};
 use bfly_data::{generate, split, SynthSpec};
 use bfly_nn::{build_dense_mlp, evaluate, fit, Layer, TrainConfig};
-use bfly_serve::{closed_loop_models_with_pool, CacheConfig, PrebuiltModel, ServeConfig, Server};
+use bfly_serve::{closed_loop, CacheConfig, PrebuiltModel, ServeConfig, Server};
 use bfly_tensor::seeded_rng;
 use std::time::Duration;
 
@@ -102,7 +102,7 @@ fn main() {
         replicas: 4,
         ..Default::default()
     };
-    let server = Server::start_fleet_prebuilt(
+    let server = Server::start_fleet(
         config,
         &[],
         vec![
@@ -117,7 +117,7 @@ fn main() {
         4 * compressed_params / 1024
     );
     for name in ["mlp-dense", "mlp-butterfly"] {
-        let load = closed_loop_models_with_pool(&server, &[name], 8, 40, 57, 64);
+        let load = closed_loop(&server, &[name], 8, 40, 57, 64);
         println!(
             "   {name:<14} {:>7.0} rps, p50 {:>5} us, p99 {:>5} us, mean batch {:.1}",
             load.throughput_rps, load.latency_p50_us, load.latency_p99_us, load.mean_batch

@@ -22,8 +22,8 @@
 use bfly_core::Method;
 use bfly_data::TrafficTrace;
 use bfly_serve::{
-    closed_loop_models_with_pool, trace_loop, AutoscaleConfig, CacheConfig, FaultPlan, Routing,
-    ScaleDecision, ServeConfig, ServedFrom, Server,
+    closed_loop, trace_loop, AutoscaleConfig, CacheConfig, FaultPlan, Routing, ScaleDecision,
+    ServeConfig, ServedFrom, Server,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -53,8 +53,7 @@ fn flash_crowd_config() -> ServeConfig {
 fn flash_crowd_ramp(method: Method) -> Option<f64> {
     let name = method.label().to_lowercase();
     let probe = Server::start(flash_crowd_config(), &[method]).expect("dim 1024 fits");
-    let capacity =
-        closed_loop_models_with_pool(&probe, &[name.as_str()], 16, 40, 0xBEE5, 64).throughput_rps;
+    let capacity = closed_loop(&probe, &[name.as_str()], 16, 40, 0xBEE5, 64).throughput_rps;
     probe.shutdown();
 
     // Quiet at half capacity, a 0.6 s spike at 3x, then back down.
