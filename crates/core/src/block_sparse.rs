@@ -162,6 +162,12 @@ impl BlockSparseMatrix {
         &mut self.data
     }
 
+    /// Consumes the matrix, returning its block-coordinate list and flat
+    /// payload.
+    pub fn into_parts(self) -> (Vec<(u32, u32)>, Vec<f32>) {
+        (self.blocks, self.data)
+    }
+
     /// Converts to dense.
     pub fn to_dense(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);

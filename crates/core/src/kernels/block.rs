@@ -1,59 +1,55 @@
-//! Fused SIMD block-sparse kernels — the pixelfly serving hot path.
+//! Block-sparse kernels — pixelfly's hidden layer on the host.
 //!
 //! Pixelfly's forward is `y = W x + U (V x) + bias` with `W` block-sparse
-//! (paper §2.3.2). The naive path walks the flat sorted `(block-row,
-//! block-col)` coordinate list once per *term*: a scalar matmul per block, a
-//! dense matmul pair for the low-rank correction (each allocating a full
-//! matrix), and a final bias sweep — three full passes over the activations
-//! plus allocator churn, exactly the shape the butterfly stages had before
-//! they were fused.
+//! (paper §2.3.2). Pixelated butterfly is built so that both terms map onto
+//! dense-GEMM hardware, and the kernels here follow that split. Everything
+//! runs on the calling thread.
 //!
-//! The kernels here give the block-sparse term the same treatment:
-//!
+//! - **The low-rank term runs on the tiled GEMMs** of [`bfly_tensor::matmul`].
+//!   Forward: `Vx = X Vᵀ`, then `U Vx`, both with [`matmul_a_bt_slice`],
+//!   which is batch-invariant, so a served row is bit-identical to the same
+//!   row inside any batch. Backward: `dVx = dY U` and `dX += dVx V` with
+//!   [`matmul_slice_acc`]; `dU += dYᵀ Vx` and `dV += dVxᵀ X` with
+//!   [`matmul_at_b_acc`], straight into the caller's gradient buffers.
 //! - **CSR-of-blocks** ([`BlockCsr`]): per-block-row prefix offsets replace
-//!   the coordinate list on the hot path. Because the coordinate list is
-//!   sorted lexicographically, the payloads are *already* in CSR order — the
-//!   view is built once with no payload movement.
-//! - **One pass over row blocks** (written against the `rayon` API; the
-//!   vendored `rayon` shim runs it sequentially): each batch row computes
-//!   its sparse product, low-rank correction and bias while it stays
-//!   cache-resident;
-//!   the only allocation is the returned output matrix (working buffers come
-//!   from a caller-owned [`Scratch`]).
-//! - **Lane-parallel microkernels** for `b ∈ {4, 8, 16, 32}` with a generic
-//!   fallback, behind runtime AVX2/AVX-512 dispatch. The specialized kernels
-//!   vectorize *across the block's output rows*: payloads are repacked
-//!   column-major once per call, and each lane `r` accumulates
-//!   `acc[r] += w[r][c] * x[c]` in ascending-`c` order — the exact FLOP
-//!   sequence of the scalar dot, so results are **bit-identical** to
-//!   [`BlockSparseMatrix::matmul_batch`](crate::BlockSparseMatrix::matmul_batch)
-//!   whichever branch runs.
+//!   the coordinate list. The sorted coordinate list is already in CSR
+//!   order, so no payload moves. The input-gradient pass groups the blocks
+//!   by block column once per call.
+//! - **A payload packed once per weight update** ([`PackedBlocks`]). The
+//!   forward microkernels for `b ∈ {4, 8, 16, 32}` vectorise across a
+//!   block's output rows and read each block column-major. A layer keeps the
+//!   packed copy and refreshes it when its weights change; a caller that
+//!   passes the row-major payload ([`Blocks::RowMajor`]) gets a per-call
+//!   pack into its [`Scratch`]. Other block sizes read the row-major payload.
+//! - **Register tiles across samples.** The forward sweeps each stored block
+//!   once per [`SAMPLE_TILE`] rows, so every payload column it loads feeds
+//!   that many rows' accumulators. The backward lists the non-zero entries
+//!   of `dY` once per call (so zero gradients are skipped without a branch
+//!   per entry). The payload-gradient pass then keeps [`ROW_TILE`] rows of a
+//!   block's gradient in registers while it walks their samples, and the
+//!   input-gradient pass keeps [`SAMPLE_TILE`] samples' `dX` segments in
+//!   registers while it walks a block column.
 //!
-//! The low-rank term uses a fixed eight-lane dot ([`DOT_LANES`]) with an
-//! explicit reduction tree; its operation order is part of the kernel's
-//! contract (identical on every ISA), which is what keeps the layer's
-//! training forward, eval forward and `forward_inference` bit-identical to
-//! each other.
+//! Every sparse-term accumulator keeps the naive reference's order:
+//! ascending input column within a block, then blocks in CSR order, in the
+//! forward; ascending sample for the payload gradient; ascending block row,
+//! then row within the block, for `dX`; zero `dY` entries skipped. So the
+//! block-sparse term is **bit-identical** to
+//! [`BlockSparseMatrix::matmul_batch`](crate::BlockSparseMatrix::matmul_batch)
+//! and [`backward_batch`](crate::BlockSparseMatrix::backward_batch) on every
+//! ISA and block size, and the training forward, the eval forward and
+//! `forward_inference` of a layer share one code path.
 
+use bfly_tensor::matmul::{matmul_a_bt_slice, matmul_at_b_acc, matmul_slice_acc};
 use bfly_tensor::{Matrix, Scratch};
-use rayon::prelude::*;
 
-/// Rows per unit of parallel work (same granularity as the butterfly
-/// kernels).
-const ROW_BLOCK: usize = 32;
+/// Batch rows per forward register tile, and samples per input-gradient
+/// register tile. With `b = 32` a tile is eight AVX-512 accumulators.
+const SAMPLE_TILE: usize = 4;
 
-/// Lanes of the fixed-shape low-rank dot product. Eight f32 lanes fill one
-/// AVX2 register (two SSE, half an AVX-512); the explicit lane accumulators
-/// plus a fixed reduction tree make the result independent of the ISA the
-/// dispatch picks.
-const DOT_LANES: usize = 8;
-
-/// Minimum batch for the column-major payload repack. The repack touches the
-/// whole payload once per call, so tiny batches can't amortize it — below
-/// this the specialized sizes run the generic row-major kernel instead.
-/// Both kernels are bit-identical to the naive reference, so the switch
-/// cannot change results.
-const REPACK_MIN_BATCH: usize = 8;
+/// Payload-gradient rows per register tile (divides every specialised block
+/// size).
+const ROW_TILE: usize = 4;
 
 /// CSR-of-blocks view of a block-sparse pattern: per-block-row prefix
 /// offsets into the (payload, block-column) arrays.
@@ -67,12 +63,11 @@ pub struct BlockCsr {
     block: usize,
     rows: usize,
     cols: usize,
-    /// `block_rows + 1` prefix offsets into `cols`.
+    /// `block_rows + 1` prefix offsets into `block_col`.
     row_ptr: Vec<u32>,
-    /// Block-row per stored block (CSR order) — the payload-parallel
-    /// backward needs the inverse of `row_ptr` per entry.
+    /// Block row per stored block (CSR order).
     block_row: Vec<u32>,
-    /// Block-column per stored block (CSR order).
+    /// Block column per stored block (CSR order).
     block_col: Vec<u32>,
 }
 
@@ -137,10 +132,122 @@ impl BlockCsr {
         &self.block_col
     }
 
-    /// Whether this block size has a lane-specialized microkernel (and the
-    /// forward therefore runs on the column-major payload repack).
+    /// Whether this block size has lane-specialised forward microkernels,
+    /// which read the column-major [`PackedBlocks`] layout.
     pub fn specialized(&self) -> bool {
         matches!(self.block, 4 | 8 | 16 | 32)
+    }
+}
+
+/// The stored blocks grouped by block column, ascending block row within a
+/// column: block column `bj` holds `blocks[starts[bj]..starts[bj + 1]]`
+/// (indices in CSR order). Built per backward call; the pattern is small.
+#[derive(Debug)]
+struct BlockColumns {
+    starts: Vec<usize>,
+    blocks: Vec<u32>,
+}
+
+impl BlockColumns {
+    fn new(csr: &BlockCsr) -> Self {
+        let mut starts = vec![0usize; csr.cols / csr.block + 1];
+        for &bj in &csr.block_col {
+            starts[bj as usize + 1] += 1;
+        }
+        for j in 1..starts.len() {
+            starts[j] += starts[j - 1];
+        }
+        // A counting sort; CSR order visits block rows in ascending order.
+        let mut next = starts.clone();
+        let mut blocks = vec![0u32; csr.block_col.len()];
+        for (idx, &bj) in csr.block_col.iter().enumerate() {
+            blocks[next[bj as usize]] = idx as u32;
+            next[bj as usize] += 1;
+        }
+        Self { starts, blocks }
+    }
+
+    /// Stored-block indices of block column `bj`, ascending block row.
+    fn column(&self, bj: usize) -> &[u32] {
+        &self.blocks[self.starts[bj]..self.starts[bj + 1]]
+    }
+}
+
+/// A block payload in the layout the forward microkernels read: each
+/// `b x b` block column-major (`packed[c * b + r] = w[r][c]`) for the
+/// lane-specialised sizes, a row-major copy for the rest. Pack it once per
+/// weight update ([`PackedBlocks::repack`]); every forward until the next
+/// update reads it as is.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedBlocks {
+    block: usize,
+    colmajor: bool,
+    data: Vec<f32>,
+}
+
+impl PackedBlocks {
+    /// Packs a row-major, CSR-order payload (exactly
+    /// [`BlockSparseMatrix::data`](crate::BlockSparseMatrix::data)) of the
+    /// pattern `csr`, in place: the buffer becomes the packed copy.
+    ///
+    /// # Panics
+    /// Panics if the payload length does not match the pattern.
+    pub fn new(csr: &BlockCsr, mut payload: Vec<f32>) -> Self {
+        let b = csr.block;
+        assert_eq!(payload.len(), csr.nnz_blocks() * b * b, "payload length mismatch");
+        let colmajor = csr.specialized();
+        if colmajor {
+            transpose_blocks(b, &mut payload);
+        }
+        Self { block: b, colmajor, data: payload }
+    }
+
+    /// Re-packs in place from an updated row-major payload of the same
+    /// pattern.
+    ///
+    /// # Panics
+    /// Panics if the payload length differs from the packed one.
+    pub fn repack(&mut self, payload: &[f32]) {
+        assert_eq!(payload.len(), self.data.len(), "payload length mismatch");
+        self.data.copy_from_slice(payload);
+        if self.colmajor {
+            transpose_blocks(self.block, &mut self.data);
+        }
+    }
+}
+
+/// Transposes each `block x block` payload of `data` in place, so a
+/// row-major block becomes column-major (`w[r][c]` moves to `c * block + r`).
+fn transpose_blocks(block: usize, data: &mut [f32]) {
+    for blk in data.chunks_exact_mut(block * block) {
+        for r in 0..block {
+            for c in r + 1..block {
+                blk.swap(r * block + c, c * block + r);
+            }
+        }
+    }
+}
+
+/// The block payload a forward call reads.
+#[derive(Debug, Clone, Copy)]
+pub enum Blocks<'a> {
+    /// Row-major per block in CSR order (exactly
+    /// [`BlockSparseMatrix::data`](crate::BlockSparseMatrix::data)).
+    /// Lane-specialised block sizes pack it into scratch for the call.
+    RowMajor(&'a [f32]),
+    /// Packed ahead of time; the call reads it as is.
+    Packed(&'a PackedBlocks),
+}
+
+impl<'a> From<&'a [f32]> for Blocks<'a> {
+    fn from(payload: &'a [f32]) -> Self {
+        Blocks::RowMajor(payload)
+    }
+}
+
+impl<'a> From<&'a PackedBlocks> for Blocks<'a> {
+    fn from(packed: &'a PackedBlocks) -> Self {
+        Blocks::Packed(packed)
     }
 }
 
@@ -158,7 +265,8 @@ pub struct LowRankRef<'a> {
 }
 
 /// Gradient accumulators for [`fused_block_backward`]; every slice is
-/// *accumulated into* (callers pass zeroed buffers for plain gradients).
+/// *accumulated into*, so a layer passes its parameters' gradient buffers
+/// directly.
 #[derive(Debug)]
 pub struct BlockGrads<'a> {
     /// dL/d payload, row-major per block in CSR order.
@@ -169,109 +277,81 @@ pub struct BlockGrads<'a> {
     pub v: &'a mut [f32],
 }
 
-/// Transposes each `block x block` payload to column-major
-/// (`dst[c * block + r] = src[r * block + c]`), the layout the
-/// lane-specialized microkernels read. Runs once per batched call and is
-/// amortised over every row.
-pub fn repack_blocks_colmajor(block: usize, data: &[f32], dst: &mut [f32]) {
-    assert_eq!(data.len(), dst.len(), "colmajor repack length mismatch");
-    let bb = block * block;
-    for (src, d) in data.chunks_exact(bb).zip(dst.chunks_exact_mut(bb)) {
-        for r in 0..block {
-            for c in 0..block {
-                d[c * block + r] = src[r * block + c];
-            }
-        }
-    }
-}
-
-/// Wide-vector re-instantiations of the row-block workers for x86-64,
-/// selected at run time by [`bfly_tensor::dispatch_wide!`] and bit-identical
-/// to the generic bodies.
+/// AVX-512F / AVX2 instantiations of the sparse-term bodies (see
+/// [`bfly_tensor::dispatch_wide!`]), bit-identical to the generic ones.
 #[cfg(target_arch = "x86_64")]
 mod wide {
-    use super::{BlockCsr, LowRankRef};
+    use super::{BlockColumns, BlockCsr, GradNonZeros};
 
     bfly_tensor::wide_pair!(
         forward_avx512,
         forward_avx2,
-        forward_rows_impl,
-        (
-            csr: &BlockCsr,
-            w: &[f32],
-            colmajor: bool,
-            lowrank: Option<LowRankRef<'_>>,
-            bias: Option<&[f32]>,
-            iblock: &[f32],
-            oblock: &mut [f32],
-            vxblock: &mut [f32]
-        )
+        sparse_forward_impl,
+        (csr: &BlockCsr, w: &[f32], colmajor: bool, x: &[f32], y: &mut [f32])
     );
     bfly_tensor::wide_pair!(
         backward_avx512,
         backward_avx2,
-        backward_rows_impl,
+        sparse_backward_impl,
         (
             csr: &BlockCsr,
             w: &[f32],
-            lowrank: Option<LowRankRef<'_>>,
-            gblock: &[f32],
-            dvxblock: &mut [f32],
-            gxblock: &mut [f32]
+            x: &[f32],
+            nz: &GradNonZeros,
+            cols: &BlockColumns,
+            gp: &mut [f32],
+            gx: &mut [f32]
         )
     );
 }
 
-/// Fused batched forward `Y = X W^T [+ (X V^T) U^T] [+ bias]` in one
-/// parallel pass over row blocks.
+/// Fused batched forward `Y = X W^T [+ (X V^T) U^T] [+ bias]`.
 ///
-/// `payload` is the row-major-per-block CSR-order payload array (exactly
-/// [`BlockSparseMatrix::data`](crate::BlockSparseMatrix::data)). With no
-/// low-rank term and no bias the result is bit-identical to
+/// `payload` is the packed payload ([`PackedBlocks`]) or the row-major
+/// CSR-order one (exactly
+/// [`BlockSparseMatrix::data`](crate::BlockSparseMatrix::data)); both give
+/// the same bits. With no low-rank term and no bias the result is
+/// bit-identical to
 /// [`BlockSparseMatrix::matmul_batch`](crate::BlockSparseMatrix::matmul_batch).
-/// The only allocation is the returned matrix; working buffers come from
-/// `scratch`.
-pub fn fused_block_forward(
+/// `scratch` holds the per-call pack of a row-major payload.
+pub fn fused_block_forward<'a>(
     csr: &BlockCsr,
-    payload: &[f32],
+    payload: impl Into<Blocks<'a>>,
     lowrank: Option<LowRankRef<'_>>,
     bias: Option<&[f32]>,
     input: &Matrix,
     scratch: &mut Scratch,
 ) -> Matrix {
-    forward_inner(csr, payload, lowrank, bias, input, scratch, false).0
+    forward_inner(csr, payload.into(), lowrank, bias, input, scratch).0
 }
 
 /// [`fused_block_forward`] that additionally returns the low-rank
 /// intermediate `Vx` (`batch x rank`) the backward pass needs; `None` when
 /// there is no low-rank term. Outputs are bit-identical to the inference
-/// variant — same worker, same operation order.
-pub fn fused_block_forward_train(
+/// variant — it is the same computation.
+pub fn fused_block_forward_train<'a>(
     csr: &BlockCsr,
-    payload: &[f32],
+    payload: impl Into<Blocks<'a>>,
     lowrank: Option<LowRankRef<'_>>,
     bias: Option<&[f32]>,
     input: &Matrix,
     scratch: &mut Scratch,
 ) -> (Matrix, Option<Matrix>) {
-    forward_inner(csr, payload, lowrank, bias, input, scratch, true)
+    forward_inner(csr, payload.into(), lowrank, bias, input, scratch)
 }
 
 fn forward_inner(
     csr: &BlockCsr,
-    payload: &[f32],
+    payload: Blocks<'_>,
     lowrank: Option<LowRankRef<'_>>,
     bias: Option<&[f32]>,
     input: &Matrix,
     scratch: &mut Scratch,
-    keep_vx: bool,
 ) -> (Matrix, Option<Matrix>) {
     let b = csr.block;
     let (out_dim, in_dim) = (csr.out_dim(), csr.in_dim());
     let batch = input.rows();
-    assert_eq!(payload.len(), csr.nnz_blocks() * b * b, "payload length mismatch");
     assert_eq!(input.cols(), in_dim, "fused block forward input width mismatch");
-    let rank = lowrank.map_or(0, |lr| lr.rank);
     if let Some(lr) = lowrank {
         assert!(lr.rank > 0, "pass None instead of a rank-0 low-rank term");
         assert_eq!(lr.u.len(), out_dim * lr.rank, "low-rank U shape mismatch");
@@ -280,231 +360,167 @@ fn forward_inner(
     if let Some(bs) = bias {
         assert_eq!(bs.len(), out_dim, "bias length mismatch");
     }
-    let mut out = Matrix::zeros(batch, out_dim);
-    if batch == 0 {
-        return (out, (keep_vx && rank > 0).then(|| Matrix::zeros(0, rank)));
-    }
-    // Column-major payload repack for the lane microkernels; generic block
-    // sizes — and batches too small to amortize the repack — run the scalar
-    // kernel on the row-major payload directly (bit-identical either way).
-    let colmajor = csr.specialized() && batch >= REPACK_MIN_BATCH;
-    let wt = if colmajor {
-        let mut wt = scratch.take(payload.len());
-        repack_blocks_colmajor(b, payload, &mut wt);
-        wt
-    } else {
-        scratch.take(0)
+    // The low-rank term first, on the GEMMs: the output starts as U (V x).
+    let (mut out, vx) = match lowrank {
+        Some(lr) => {
+            let vx = matmul_a_bt_slice(input, lr.v, lr.rank);
+            (matmul_a_bt_slice(&vx, lr.u, out_dim), Some(vx))
+        }
+        None => (Matrix::zeros(batch, out_dim), None),
     };
-    let w: &[f32] = if colmajor { &wt } else { payload };
-    // A handful of rows is one unit of work; skipping the thread-pool
-    // hand-off there keeps single-row serving latency flat. Rows are
-    // independent, so serial vs parallel cannot change any row's bits.
-    let serial = batch < REPACK_MIN_BATCH;
-    if rank == 0 {
-        if serial {
-            out.as_mut_slice()
-                .chunks_mut(ROW_BLOCK * out_dim)
-                .zip(input.as_slice().chunks(ROW_BLOCK * in_dim))
-                .for_each(|(oblock, iblock)| {
-                    forward_rows(csr, w, colmajor, None, bias, iblock, oblock, &mut []);
-                });
-        } else {
-            out.as_mut_slice()
-                .par_chunks_mut(ROW_BLOCK * out_dim)
-                .zip(input.as_slice().par_chunks(ROW_BLOCK * in_dim))
-                .for_each(|(oblock, iblock)| {
-                    forward_rows(csr, w, colmajor, None, bias, iblock, oblock, &mut []);
-                });
+    let (x, y) = (input.as_slice(), out.as_mut_slice());
+    match payload {
+        Blocks::Packed(p) => {
+            assert_eq!(p.block, b, "packed payload block size mismatch");
+            assert_eq!(p.data.len(), csr.nnz_blocks() * b * b, "payload length mismatch");
+            sparse_forward(csr, &p.data, p.colmajor, x, y);
         }
-        scratch.put(wt);
-        return (out, None);
-    }
-    let mut vx = scratch.take(batch * rank);
-    if serial {
-        out.as_mut_slice()
-            .chunks_mut(ROW_BLOCK * out_dim)
-            .zip(input.as_slice().chunks(ROW_BLOCK * in_dim))
-            .zip(vx.chunks_mut(ROW_BLOCK * rank))
-            .for_each(|((oblock, iblock), vxblock)| {
-                forward_rows(csr, w, colmajor, lowrank, bias, iblock, oblock, vxblock);
-            });
-    } else {
-        out.as_mut_slice()
-            .par_chunks_mut(ROW_BLOCK * out_dim)
-            .zip(input.as_slice().par_chunks(ROW_BLOCK * in_dim))
-            .zip(vx.par_chunks_mut(ROW_BLOCK * rank))
-            .for_each(|((oblock, iblock), vxblock)| {
-                forward_rows(csr, w, colmajor, lowrank, bias, iblock, oblock, vxblock);
-            });
-    }
-    scratch.put(wt);
-    if keep_vx {
-        (out, Some(Matrix::from_vec(batch, rank, vx)))
-    } else {
-        scratch.put(vx);
-        (out, None)
-    }
-}
-
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn forward_rows(
-    csr: &BlockCsr,
-    w: &[f32],
-    colmajor: bool,
-    lowrank: Option<LowRankRef<'_>>,
-    bias: Option<&[f32]>,
-    iblock: &[f32],
-    oblock: &mut [f32],
-    vxblock: &mut [f32],
-) {
-    bfly_tensor::dispatch_wide!(
-        forward_avx512,
-        forward_avx2,
-        forward_rows_impl,
-        csr,
-        w,
-        colmajor,
-        lowrank,
-        bias,
-        iblock,
-        oblock,
-        vxblock
-    )
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn forward_rows_impl(
-    csr: &BlockCsr,
-    w: &[f32],
-    colmajor: bool,
-    lowrank: Option<LowRankRef<'_>>,
-    bias: Option<&[f32]>,
-    iblock: &[f32],
-    oblock: &mut [f32],
-    vxblock: &mut [f32],
-) {
-    let (out_dim, in_dim) = (csr.out_dim(), csr.in_dim());
-    let rank = lowrank.map_or(0, |lr| lr.rank);
-    for (r, (orow, irow)) in oblock.chunks_mut(out_dim).zip(iblock.chunks(in_dim)).enumerate() {
-        sparse_row(csr, w, colmajor, irow, orow);
-        if let Some(lr) = lowrank {
-            let vxrow = &mut vxblock[r * rank..(r + 1) * rank];
-            for (j, vx_j) in vxrow.iter_mut().enumerate() {
-                *vx_j = dot_lanes(&lr.v[j * in_dim..(j + 1) * in_dim], irow);
-            }
-            for (i, o) in orow.iter_mut().enumerate() {
-                *o += dot_lanes(&lr.u[i * rank..(i + 1) * rank], vxrow);
-            }
+        Blocks::RowMajor(w) if csr.specialized() => {
+            assert_eq!(w.len(), csr.nnz_blocks() * b * b, "payload length mismatch");
+            let mut wt = scratch.take(w.len());
+            wt.copy_from_slice(w);
+            transpose_blocks(b, &mut wt);
+            sparse_forward(csr, &wt, true, x, y);
+            scratch.put(wt);
         }
-        if let Some(bs) = bias {
-            for (o, bv) in orow.iter_mut().zip(bs) {
+        Blocks::RowMajor(w) => {
+            assert_eq!(w.len(), csr.nnz_blocks() * b * b, "payload length mismatch");
+            sparse_forward(csr, w, false, x, y);
+        }
+    }
+    if let Some(bs) = bias {
+        for row in y.chunks_exact_mut(out_dim) {
+            for (o, bv) in row.iter_mut().zip(bs) {
                 *o += bv;
             }
         }
     }
+    (out, vx)
 }
 
-/// One row's block-sparse product `y += W x`, dispatched to the block-size
-/// specialization. `w` is column-major per block when `colmajor` is set
-/// (the lane microkernels' layout), row-major otherwise (generic sizes and
-/// repack-skipping small batches).
-#[inline(always)]
-fn sparse_row(csr: &BlockCsr, w: &[f32], colmajor: bool, x: &[f32], y: &mut [f32]) {
-    if !colmajor {
-        return sparse_row_generic(csr, w, x, y);
+/// `Y += X Wᵀ` for the block-sparse term, every row of the batch. `w` is
+/// column-major per block when `colmajor` (the lane microkernels' layout),
+/// row-major otherwise.
+fn sparse_forward(csr: &BlockCsr, w: &[f32], colmajor: bool, x: &[f32], y: &mut [f32]) {
+    if x.is_empty() || y.is_empty() || csr.nnz_blocks() == 0 {
+        return;
     }
-    match csr.block {
-        4 => sparse_row_lanes::<4>(csr, w, x, y),
-        8 => sparse_row_lanes::<8>(csr, w, x, y),
-        16 => sparse_row_lanes::<16>(csr, w, x, y),
-        32 => sparse_row_lanes::<32>(csr, w, x, y),
-        _ => sparse_row_generic(csr, w, x, y),
+    bfly_tensor::dispatch_wide!(
+        forward_avx512,
+        forward_avx2,
+        sparse_forward_impl,
+        csr,
+        w,
+        colmajor,
+        x,
+        y
+    )
+}
+
+#[inline(always)]
+fn sparse_forward_impl(csr: &BlockCsr, w: &[f32], colmajor: bool, x: &[f32], y: &mut [f32]) {
+    match (colmajor, csr.block) {
+        (true, 4) => forward_lanes::<4>(csr, w, x, y),
+        (true, 8) => forward_lanes::<8>(csr, w, x, y),
+        (true, 16) => forward_lanes::<16>(csr, w, x, y),
+        (true, 32) => forward_lanes::<32>(csr, w, x, y),
+        (true, b) => unreachable!("column-major payload for unspecialised block size {b}"),
+        (false, _) => forward_generic(csr, w, x, y),
     }
 }
 
-/// Lane-parallel microkernel: one accumulator lane per output row of the
-/// block, walking the column-major payload in ascending input order. Lane
-/// `r` performs `w[r][0]*x[0] + w[r][1]*x[1] + ...` — the scalar dot's exact
-/// operation order — and each block's accumulator is added to `y` before the
-/// next block's, matching the naive per-block loop bit for bit.
+/// The lane microkernel over the batch: [`SAMPLE_TILE`] rows at a time, then
+/// the remaining rows one by one. Each row's arithmetic is the same either
+/// way, so a row's bits do not depend on the batch around it.
 #[inline(always)]
-fn sparse_row_lanes<const B: usize>(csr: &BlockCsr, wt: &[f32], x: &[f32], y: &mut [f32]) {
-    for (bi, ys) in y.chunks_exact_mut(B).enumerate() {
-        let (lo, hi) = (csr.row_ptr[bi] as usize, csr.row_ptr[bi + 1] as usize);
-        for idx in lo..hi {
+fn forward_lanes<const B: usize>(csr: &BlockCsr, wt: &[f32], x: &[f32], y: &mut [f32]) {
+    let (out_dim, in_dim) = (csr.rows, csr.cols);
+    let mut x_tiles = x.chunks_exact(SAMPLE_TILE * in_dim);
+    let mut y_tiles = y.chunks_exact_mut(SAMPLE_TILE * out_dim);
+    for (xt, yt) in (&mut x_tiles).zip(&mut y_tiles) {
+        forward_tile::<B, SAMPLE_TILE>(csr, wt, xt, yt);
+    }
+    let rest = x_tiles.remainder().chunks_exact(in_dim);
+    for (xr, yr) in rest.zip(y_tiles.into_remainder().chunks_exact_mut(out_dim)) {
+        forward_tile::<B, 1>(csr, wt, xr, yr);
+    }
+}
+
+/// One register tile of `T` rows. Per stored block, lane `r` of row `t`
+/// accumulates `w[r][c] * x[t][c]` over ascending `c` — the scalar dot's
+/// order — and the block's sums are added to `y` before the next block's:
+/// the naive per-block loop, bit for bit. Each payload column is loaded once
+/// for all `T` rows.
+#[inline(always)]
+fn forward_tile<const B: usize, const T: usize>(
+    csr: &BlockCsr,
+    wt: &[f32],
+    x: &[f32],
+    y: &mut [f32],
+) {
+    let (out_dim, in_dim) = (csr.rows, csr.cols);
+    for bi in 0..csr.row_ptr.len() - 1 {
+        for idx in csr.row_ptr[bi] as usize..csr.row_ptr[bi + 1] as usize {
             let bj = csr.block_col[idx] as usize;
-            let xs = &x[bj * B..(bj + 1) * B];
-            let blk = &wt[idx * B * B..(idx + 1) * B * B];
-            let mut acc = [0.0f32; B];
-            for (col, xv) in blk.chunks_exact(B).zip(xs) {
-                for (a, wv) in acc.iter_mut().zip(col) {
-                    *a += wv * xv;
+            let xs: [&[f32; B]; T] = std::array::from_fn(|t| lane_row(x, t * in_dim + bj * B));
+            let mut acc = [[0.0f32; B]; T];
+            for (c, col) in wt[idx * B * B..(idx + 1) * B * B].chunks_exact(B).enumerate() {
+                for (acc_t, xs_t) in acc.iter_mut().zip(&xs) {
+                    let xv = xs_t[c];
+                    for (a, wv) in acc_t.iter_mut().zip(col) {
+                        *a += wv * xv;
+                    }
                 }
             }
-            for (o, a) in ys.iter_mut().zip(acc) {
-                *o += a;
+            for (t, acc_t) in acc.iter().enumerate() {
+                let ys = &mut y[t * out_dim + bi * B..t * out_dim + (bi + 1) * B];
+                for (o, a) in ys.iter_mut().zip(acc_t) {
+                    *o += a;
+                }
             }
         }
     }
 }
 
-/// Generic fallback for unspecialized block sizes: the naive scalar order on
-/// the row-major payload (trivially bit-identical to `matmul_batch`).
+/// The `B` floats of `v` starting at `at`.
 #[inline(always)]
-fn sparse_row_generic(csr: &BlockCsr, w: &[f32], x: &[f32], y: &mut [f32]) {
+fn lane_row<const B: usize>(v: &[f32], at: usize) -> &[f32; B] {
+    v[at..at + B].try_into().expect("range is B long")
+}
+
+/// Forward for unspecialised block sizes: the naive scalar order on the
+/// row-major payload, row by row.
+#[inline(always)]
+fn forward_generic(csr: &BlockCsr, w: &[f32], x: &[f32], y: &mut [f32]) {
     let b = csr.block;
     let bb = b * b;
-    for (bi, ys) in y.chunks_exact_mut(b).enumerate() {
-        let (lo, hi) = (csr.row_ptr[bi] as usize, csr.row_ptr[bi + 1] as usize);
-        for idx in lo..hi {
-            let bj = csr.block_col[idx] as usize;
-            let xs = &x[bj * b..(bj + 1) * b];
-            let blk = &w[idx * bb..(idx + 1) * bb];
-            for (row, o) in blk.chunks_exact(b).zip(ys.iter_mut()) {
-                let mut acc = 0.0f32;
-                for (wv, xv) in row.iter().zip(xs) {
-                    acc += wv * xv;
+    for (xrow, yrow) in x.chunks_exact(csr.cols).zip(y.chunks_exact_mut(csr.rows)) {
+        for (bi, ys) in yrow.chunks_exact_mut(b).enumerate() {
+            for idx in csr.row_ptr[bi] as usize..csr.row_ptr[bi + 1] as usize {
+                let bj = csr.block_col[idx] as usize;
+                let xs = &xrow[bj * b..(bj + 1) * b];
+                for (row, o) in w[idx * bb..(idx + 1) * bb].chunks_exact(b).zip(ys.iter_mut()) {
+                    let mut acc = 0.0f32;
+                    for (wv, xv) in row.iter().zip(xs) {
+                        acc += wv * xv;
+                    }
+                    *o += acc;
                 }
-                *o += acc;
             }
         }
     }
-}
-
-/// Fixed-shape dot product: eight lane accumulators, a fixed reduction tree,
-/// then the scalar tail. The operation order is explicit and identical on
-/// every ISA (the wide recompiles only change vector width, not the
-/// arithmetic), so results are deterministic across dispatch branches.
-#[inline(always)]
-fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; DOT_LANES];
-    let mut ac = a.chunks_exact(DOT_LANES);
-    let mut bc = b.chunks_exact(DOT_LANES);
-    for (aa, bb) in ac.by_ref().zip(bc.by_ref()) {
-        for l in 0..DOT_LANES {
-            acc[l] += aa[l] * bb[l];
-        }
-    }
-    let mut sum = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-    for (av, bv) in ac.remainder().iter().zip(bc.remainder()) {
-        sum += av * bv;
-    }
-    sum
 }
 
 /// Fused backward for [`fused_block_forward_train`]: accumulates the payload
 /// and low-rank factor gradients into `grads` and returns dL/d input.
 ///
-/// `vx` is the cached `batch x rank` intermediate returned by the training
-/// forward (required iff `lowrank` is `Some`). The bias gradient is the
-/// caller's — a column sum independent of this kernel. Three parallel
-/// passes, each deterministic: rows for `dVx` + `dX` (per-sample,
-/// independent), stored blocks for the payload gradient (each block's
-/// accumulator sums samples in ascending order), and factor rows for
-/// `dU` / `dV`.
+/// `payload` is the row-major CSR-order payload and `vx` the cached
+/// `batch x rank` intermediate returned by the training forward (required
+/// iff `lowrank` is `Some`). The bias gradient is the caller's — a column
+/// sum independent of this kernel. The sparse term runs first (payload
+/// gradient and `dX`, bit-identical to
+/// [`BlockSparseMatrix::backward_batch`](crate::BlockSparseMatrix::backward_batch)),
+/// then the low-rank term on the GEMMs; `scratch` holds `dVx`.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_block_backward(
     csr: &BlockCsr,
@@ -522,153 +538,282 @@ pub fn fused_block_backward(
     assert_eq!(grad_out.rows(), batch, "grad batch mismatch");
     assert_eq!(grad_out.cols(), out_dim, "grad width mismatch");
     assert_eq!(input.cols(), in_dim, "input width mismatch");
+    assert_eq!(payload.len(), csr.nnz_blocks() * b * b, "payload length mismatch");
     assert_eq!(grads.payload.len(), payload.len(), "payload gradient length mismatch");
-    let rank = lowrank.map_or(0, |lr| lr.rank);
     if let Some(lr) = lowrank {
         let vx = vx.expect("low-rank backward requires the cached Vx");
         assert_eq!((vx.rows(), vx.cols()), (batch, lr.rank), "cached Vx shape mismatch");
+        assert_eq!(lr.u.len(), out_dim * lr.rank, "low-rank U shape mismatch");
+        assert_eq!(lr.v.len(), lr.rank * in_dim, "low-rank V shape mismatch");
         assert_eq!(grads.u.len(), lr.u.len(), "U gradient length mismatch");
         assert_eq!(grads.v.len(), lr.v.len(), "V gradient length mismatch");
     }
 
-    // Pass 1 — per sample row: dVx = dY U, then dX = dY-through-blocks +
-    // dVx V.
     let mut grad_in = Matrix::zeros(batch, in_dim);
-    let mut dvx = scratch.take(batch * rank);
-    if batch > 0 {
-        if rank == 0 {
-            // No dVx to produce: a zero-length dvx would truncate a
-            // three-way zip to nothing, so drive the rows without it.
-            grad_in
-                .as_mut_slice()
-                .par_chunks_mut(ROW_BLOCK * in_dim)
-                .zip(grad_out.as_slice().par_chunks(ROW_BLOCK * out_dim))
-                .for_each(|(gxblock, gblock)| {
-                    backward_rows(csr, payload, lowrank, gblock, &mut [], gxblock);
-                });
-        } else {
-            let dvx_chunk = ROW_BLOCK * rank;
-            grad_in
-                .as_mut_slice()
-                .par_chunks_mut(ROW_BLOCK * in_dim)
-                .zip(grad_out.as_slice().par_chunks(ROW_BLOCK * out_dim))
-                .zip(dvx.par_chunks_mut(dvx_chunk))
-                .for_each(|((gxblock, gblock), dvxblock)| {
-                    backward_rows(csr, payload, lowrank, gblock, dvxblock, gxblock);
-                });
-        }
+    if batch > 0 && csr.nnz_blocks() > 0 {
+        let (nz, cols) = (GradNonZeros::new(grad_out, b), BlockColumns::new(csr));
+        let (x, gx) = (input.as_slice(), grad_in.as_mut_slice());
+        sparse_backward(csr, payload, x, &nz, &cols, grads.payload, gx);
     }
-
-    // Pass 2 — per stored block: dW[r][c] += Σ_s dY[s][r] * X[s][c],
-    // samples in ascending order per accumulator.
-    let bb = b * b;
-    grads.payload.par_chunks_mut(bb).enumerate().for_each(|(idx, gp)| {
-        let bi = csr.block_row[idx] as usize;
-        let bj = csr.block_col[idx] as usize;
-        for s in 0..batch {
-            let gys = &grad_out.row(s)[bi * b..(bi + 1) * b];
-            let xs = &input.row(s)[bj * b..(bj + 1) * b];
-            for (g, gprow) in gys.iter().zip(gp.chunks_exact_mut(b)) {
-                if *g == 0.0 {
-                    continue;
-                }
-                for (d, xv) in gprow.iter_mut().zip(xs) {
-                    *d += g * xv;
-                }
-            }
-        }
-    });
-
-    // Pass 3 — low-rank factor gradients, one parallel sweep per factor.
     if let Some(lr) = lowrank {
         let vx = vx.expect("checked above");
-        grads.u.par_chunks_mut(lr.rank).enumerate().for_each(|(i, gu)| {
-            for s in 0..batch {
-                let g = grad_out.row(s)[i];
-                for (d, vv) in gu.iter_mut().zip(vx.row(s)) {
-                    *d += g * vv;
-                }
-            }
-        });
-        let dvx_ref: &[f32] = &dvx;
-        grads.v.par_chunks_mut(in_dim).enumerate().for_each(|(j, gv)| {
-            for s in 0..batch {
-                let d = dvx_ref[s * rank + j];
-                for (dst, xv) in gv.iter_mut().zip(input.row(s)) {
-                    *dst += d * xv;
-                }
-            }
-        });
+        let mut dvx = Matrix::from_vec(batch, lr.rank, scratch.take(batch * lr.rank));
+        dvx.as_mut_slice().fill(0.0);
+        matmul_slice_acc(grad_out, lr.u, lr.rank, dvx.as_mut_slice());
+        matmul_slice_acc(&dvx, lr.v, in_dim, grad_in.as_mut_slice());
+        matmul_at_b_acc(grad_out, vx, grads.u);
+        matmul_at_b_acc(&dvx, input, grads.v);
+        scratch.put(dvx.into_vec());
     }
-    scratch.put(dvx);
     grad_in
 }
 
-#[inline]
-fn backward_rows(
+/// The non-zero entries of `dY`, listed once per backward call so that the
+/// sparse passes skip zero gradients without a data-dependent branch per
+/// entry. Both lists use fixed-size slots, filled branch-free.
+#[derive(Debug)]
+struct GradNonZeros {
+    block: usize,
+    block_rows: usize,
+    batch: usize,
+    /// Slot `(s * block_rows + bi) * block ..`: `(row within the block,
+    /// value)` of sample `s`'s non-zeros in block row `bi`, ascending row.
+    by_row: Vec<(u32, f32)>,
+    /// Entries used in each `by_row` slot.
+    row_len: Vec<u32>,
+    /// Slot `i * batch ..`: `(sample, value)` of output column `i`'s
+    /// non-zeros, ascending sample.
+    by_col: Vec<(u32, f32)>,
+    /// Entries used in each `by_col` slot.
+    col_len: Vec<u32>,
+}
+
+impl GradNonZeros {
+    fn new(g: &Matrix, block: usize) -> Self {
+        let (batch, out_dim) = g.shape();
+        let mut by_row = vec![(0u32, 0.0f32); batch * out_dim];
+        let mut row_len = vec![0u32; batch * (out_dim / block)];
+        let mut by_col = vec![(0u32, 0.0f32); out_dim * batch];
+        let mut col_len = vec![0u32; out_dim];
+        // Every entry is written to the next free slot position, which only
+        // advances past a non-zero, so a zero is overwritten or left unused.
+        let segments = g.as_slice().chunks_exact(block).zip(by_row.chunks_exact_mut(block));
+        for (seg_idx, ((seg, slot), len)) in segments.zip(row_len.iter_mut()).enumerate() {
+            let s = (seg_idx * block) / out_dim;
+            let col0 = (seg_idx * block) % out_dim;
+            let mut used = 0usize;
+            for (r, &v) in seg.iter().enumerate() {
+                let keep = v != 0.0;
+                slot[used] = (r as u32, v);
+                used += usize::from(keep);
+                let i = col0 + r;
+                by_col[i * batch + col_len[i] as usize] = (s as u32, v);
+                col_len[i] += u32::from(keep);
+            }
+            *len = used as u32;
+        }
+        Self { block, block_rows: out_dim / block, batch, by_row, row_len, by_col, col_len }
+    }
+
+    /// Non-zeros of sample `s` in block row `bi`, as `(row within the
+    /// block, value)`.
+    #[inline(always)]
+    fn row(&self, s: usize, bi: usize) -> &[(u32, f32)] {
+        let seg = s * self.block_rows + bi;
+        let start = seg * self.block;
+        &self.by_row[start..start + self.row_len[seg] as usize]
+    }
+
+    /// Non-zeros of output column `i`, as `(sample, value)`.
+    #[inline(always)]
+    fn col(&self, i: usize) -> &[(u32, f32)] {
+        let start = i * self.batch;
+        &self.by_col[start..start + self.col_len[i] as usize]
+    }
+}
+
+/// The block-sparse term's backward: payload gradient into `gp`, input
+/// gradient into `gx` (both accumulated). `w` is the row-major payload.
+fn sparse_backward(
     csr: &BlockCsr,
     w: &[f32],
-    lowrank: Option<LowRankRef<'_>>,
-    gblock: &[f32],
-    dvxblock: &mut [f32],
-    gxblock: &mut [f32],
+    x: &[f32],
+    nz: &GradNonZeros,
+    cols: &BlockColumns,
+    gp: &mut [f32],
+    gx: &mut [f32],
 ) {
     bfly_tensor::dispatch_wide!(
         backward_avx512,
         backward_avx2,
-        backward_rows_impl,
+        sparse_backward_impl,
         csr,
         w,
-        lowrank,
-        gblock,
-        dvxblock,
-        gxblock
+        x,
+        nz,
+        cols,
+        gp,
+        gx
     )
 }
 
 #[inline(always)]
-fn backward_rows_impl(
+fn sparse_backward_impl(
     csr: &BlockCsr,
     w: &[f32],
-    lowrank: Option<LowRankRef<'_>>,
-    gblock: &[f32],
-    dvxblock: &mut [f32],
-    gxblock: &mut [f32],
+    x: &[f32],
+    nz: &GradNonZeros,
+    cols: &BlockColumns,
+    gp: &mut [f32],
+    gx: &mut [f32],
 ) {
-    let b = csr.block;
-    let bb = b * b;
-    let (out_dim, in_dim) = (csr.out_dim(), csr.in_dim());
-    let rank = lowrank.map_or(0, |lr| lr.rank);
-    for (r, (gxrow, grow)) in gxblock.chunks_mut(in_dim).zip(gblock.chunks(out_dim)).enumerate() {
-        // Sparse term: dX[bj*b + c] += Σ_r dY[bi*b + r] * W[r][c].
-        for bi in 0..csr.row_ptr.len() - 1 {
-            let gys = &grow[bi * b..(bi + 1) * b];
-            for idx in csr.row_ptr[bi] as usize..csr.row_ptr[bi + 1] as usize {
-                let bj = csr.block_col[idx] as usize;
-                let gxs = &mut gxrow[bj * b..(bj + 1) * b];
-                let blk = &w[idx * bb..(idx + 1) * bb];
-                for (g, wrow) in gys.iter().zip(blk.chunks_exact(b)) {
-                    if *g == 0.0 {
-                        continue;
-                    }
-                    for (d, wv) in gxs.iter_mut().zip(wrow) {
-                        *d += g * wv;
-                    }
+    match csr.block {
+        4 => backward_lanes::<4>(csr, w, x, nz, cols, gp, gx),
+        8 => backward_lanes::<8>(csr, w, x, nz, cols, gp, gx),
+        16 => backward_lanes::<16>(csr, w, x, nz, cols, gp, gx),
+        32 => backward_lanes::<32>(csr, w, x, nz, cols, gp, gx),
+        _ => backward_generic(csr, w, x, nz, cols, gp, gx),
+    }
+}
+
+/// Register-tiled sparse backward for a specialised block size.
+///
+/// Payload gradient: per stored block `(bi, bj)`, [`ROW_TILE`] rows `r` of
+/// its gradient stay in registers while each walks its own list of
+/// `(s, dY[s][bi·B + r])` — ascending samples, zeros skipped — adding
+/// `dY[s][..] * X[s][bj·B ..]`. Input gradient: per block column `bj`,
+/// [`SAMPLE_TILE`] samples' `dX[s][bj·B ..]` stay in registers while the
+/// column's blocks are walked in ascending block row, each adding
+/// `dY[s][bi·B + r] * W[r][..]` over its non-zero rows `r`, ascending.
+#[inline(always)]
+fn backward_lanes<const B: usize>(
+    csr: &BlockCsr,
+    w: &[f32],
+    x: &[f32],
+    nz: &GradNonZeros,
+    cols: &BlockColumns,
+    gp: &mut [f32],
+    gx: &mut [f32],
+) {
+    let in_dim = csr.cols;
+    for (idx, gblk) in gp.chunks_exact_mut(B * B).enumerate() {
+        let (bi, bj) = (csr.block_row[idx] as usize, csr.block_col[idx] as usize);
+        for (rt, grows) in gblk.chunks_exact_mut(ROW_TILE * B).enumerate() {
+            let mut acc: [[f32; B]; ROW_TILE] = std::array::from_fn(|t| *lane_row(grows, t * B));
+            let lists = std::array::from_fn(|t| nz.col(bi * B + rt * ROW_TILE + t));
+            axpy_lists(&mut acc, lists, |s| lane_row(x, s * in_dim + bj * B));
+            for (dst, a) in grows.chunks_exact_mut(B).zip(&acc) {
+                dst.copy_from_slice(a);
+            }
+        }
+    }
+
+    let batch = nz.batch;
+    for bj in 0..csr.cols / B {
+        let blocks = cols.column(bj);
+        if blocks.is_empty() {
+            continue;
+        }
+        let mut s0 = 0;
+        while s0 + SAMPLE_TILE <= batch {
+            dx_tile::<B, SAMPLE_TILE>(csr, w, nz, blocks, bj, s0, gx);
+            s0 += SAMPLE_TILE;
+        }
+        for s in s0..batch {
+            dx_tile::<B, 1>(csr, w, nz, blocks, bj, s, gx);
+        }
+    }
+}
+
+/// `dX[s0 + t][bj·B ..]` for `T` samples, kept in registers across the
+/// blocks of column `bj` (see [`backward_lanes`]).
+#[inline(always)]
+fn dx_tile<const B: usize, const T: usize>(
+    csr: &BlockCsr,
+    w: &[f32],
+    nz: &GradNonZeros,
+    blocks: &[u32],
+    bj: usize,
+    s0: usize,
+    gx: &mut [f32],
+) {
+    let in_dim = csr.cols;
+    let at = |t: usize| (s0 + t) * in_dim + bj * B;
+    let mut acc: [[f32; B]; T] = std::array::from_fn(|t| *lane_row(gx, at(t)));
+    for &idx in blocks {
+        let idx = idx as usize;
+        let bi = csr.block_row[idx] as usize;
+        let blk = &w[idx * B * B..(idx + 1) * B * B];
+        let lists = std::array::from_fn(|t| nz.row(s0 + t, bi));
+        axpy_lists(&mut acc, lists, |r| lane_row(blk, r * B));
+    }
+    for (t, a) in acc.iter().enumerate() {
+        gx[at(t)..at(t) + B].copy_from_slice(a);
+    }
+}
+
+/// `acc[t] += v * row(j)` for each `(j, v)` of `lists[t]`, in list order.
+/// The `T` lists are stepped together while all last — `T` independent add
+/// chains in flight — and their tails one by one after; each accumulator's
+/// own order is its list's.
+#[inline(always)]
+fn axpy_lists<'a, const B: usize, const T: usize>(
+    acc: &mut [[f32; B]; T],
+    lists: [&[(u32, f32)]; T],
+    row: impl Fn(usize) -> &'a [f32; B],
+) {
+    let common = lists.iter().map(|l| l.len()).min().unwrap_or(0);
+    for k in 0..common {
+        for (acc_t, list) in acc.iter_mut().zip(&lists) {
+            let (j, v) = list[k];
+            for (a, rv) in acc_t.iter_mut().zip(row(j as usize)) {
+                *a += v * rv;
+            }
+        }
+    }
+    for (acc_t, list) in acc.iter_mut().zip(&lists) {
+        for &(j, v) in &list[common..] {
+            for (a, rv) in acc_t.iter_mut().zip(row(j as usize)) {
+                *a += v * rv;
+            }
+        }
+    }
+}
+
+/// Sparse backward for unspecialised block sizes: the same lists and the
+/// same per-accumulator order as [`backward_lanes`], one row or sample at a
+/// time.
+#[inline(always)]
+fn backward_generic(
+    csr: &BlockCsr,
+    w: &[f32],
+    x: &[f32],
+    nz: &GradNonZeros,
+    cols: &BlockColumns,
+    gp: &mut [f32],
+    gx: &mut [f32],
+) {
+    let (b, in_dim) = (csr.block, csr.cols);
+    for (idx, gblk) in gp.chunks_exact_mut(b * b).enumerate() {
+        let (bi, bj) = (csr.block_row[idx] as usize, csr.block_col[idx] as usize);
+        for (r, grow) in gblk.chunks_exact_mut(b).enumerate() {
+            for &(s, g) in nz.col(bi * b + r) {
+                let xs = &x[s as usize * in_dim + bj * b..][..b];
+                for (d, xv) in grow.iter_mut().zip(xs) {
+                    *d += g * xv;
                 }
             }
         }
-        if let Some(lr) = lowrank {
-            // dVx = dY U, then dX += dVx V.
-            let dvxrow = &mut dvxblock[r * rank..(r + 1) * rank];
-            dvxrow.fill(0.0);
-            for (g, urow) in grow.iter().zip(lr.u.chunks_exact(lr.rank)) {
-                for (d, uv) in dvxrow.iter_mut().zip(urow) {
-                    *d += g * uv;
-                }
-            }
-            for (d, vrow) in dvxrow.iter().zip(lr.v.chunks_exact(in_dim)) {
-                for (dst, vv) in gxrow.iter_mut().zip(vrow) {
-                    *dst += d * vv;
+    }
+    for (s, gxrow) in gx.chunks_exact_mut(in_dim).enumerate() {
+        for (bj, gxs) in gxrow.chunks_exact_mut(b).enumerate() {
+            for &idx in cols.column(bj) {
+                let idx = idx as usize;
+                let blk = &w[idx * b * b..(idx + 1) * b * b];
+                for &(r, g) in nz.row(s, csr.block_row[idx] as usize) {
+                    for (d, wv) in gxs.iter_mut().zip(&blk[r as usize * b..][..b]) {
+                        *d += g * wv;
+                    }
                 }
             }
         }
@@ -845,31 +990,38 @@ mod tests {
     #[test]
     fn backward_without_lowrank_matches_naive() {
         // Regression: at rank 0 the dVx scratch is zero-length and must not
-        // truncate the row sweep (which would silently zero grad_in).
-        let mut rng = seeded_rng(83);
-        let w = sample(8, 4, 4, 0.5, 84);
-        let (out_dim, in_dim) = w.shape();
-        let x = Matrix::random_uniform(7, in_dim, 1.0, &mut rng);
-        let g = Matrix::random_uniform(7, out_dim, 1.0, &mut rng);
-        let mut scratch = Scratch::new();
+        // truncate the row sweep (which would silently zero grad_in). Block 8
+        // runs the register-tiled kernel, 2 and 6 the generic one; the
+        // ReLU-style gradient exercises the zero skip.
+        for (b, relu) in [(8usize, false), (8, true), (2, true), (6, true)] {
+            let mut rng = seeded_rng(83);
+            let w = sample(b, 4, 4, 0.5, 84);
+            let (out_dim, in_dim) = w.shape();
+            let x = Matrix::random_uniform(7, in_dim, 1.0, &mut rng);
+            let mut g = Matrix::random_uniform(7, out_dim, 1.0, &mut rng);
+            if relu {
+                g.map_in_place(|v| v.max(0.0));
+            }
+            let mut scratch = Scratch::new();
 
-        let mut gp = vec![0.0f32; w.data().len()];
-        let gx = fused_block_backward(
-            &w.csr(),
-            w.data(),
-            None,
-            &x,
-            None,
-            &g,
-            BlockGrads { payload: &mut gp, u: &mut [], v: &mut [] },
-            &mut scratch,
-        );
+            let mut gp = vec![0.0f32; w.data().len()];
+            let gx = fused_block_backward(
+                &w.csr(),
+                w.data(),
+                None,
+                &x,
+                None,
+                &g,
+                BlockGrads { payload: &mut gp, u: &mut [], v: &mut [] },
+                &mut scratch,
+            );
 
-        let mut gp_ref = vec![0.0f32; w.data().len()];
-        let gx_ref = w.backward_batch(&x, &g, &mut gp_ref);
-        assert!(gx_ref.as_slice().iter().any(|v| *v != 0.0), "degenerate reference");
-        assert_eq!(gx.as_slice(), gx_ref.as_slice());
-        assert_eq!(gp.as_slice(), gp_ref.as_slice());
+            let mut gp_ref = vec![0.0f32; w.data().len()];
+            let gx_ref = w.backward_batch(&x, &g, &mut gp_ref);
+            assert!(gx_ref.as_slice().iter().any(|v| *v != 0.0), "degenerate reference");
+            assert_eq!(gx.as_slice(), gx_ref.as_slice(), "block {b}");
+            assert_eq!(gp.as_slice(), gp_ref.as_slice(), "block {b}");
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod block;
 
 pub use block::{
     fused_block_backward, fused_block_forward, fused_block_forward_train, BlockCsr, BlockGrads,
-    LowRankRef,
+    Blocks, LowRankRef, PackedBlocks,
 };
 
 /// Rows per unit of parallel work. Small enough to spread a modest batch

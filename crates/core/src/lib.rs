@@ -46,7 +46,8 @@ pub use conv_butterfly::ButterflyConv1x1;
 pub use kernels::{
     apply_rotation_stage, apply_twiddle_stage, fused_backward, fused_block_backward,
     fused_block_forward, fused_block_forward_train, fused_forward, fused_forward_train, AngleStage,
-    BlockCsr, BlockGrads, LowRankRef, StageBackward, StageKernel, TwiddleStage,
+    BlockCsr, BlockGrads, Blocks, LowRankRef, PackedBlocks, StageBackward, StageKernel,
+    TwiddleStage,
 };
 pub use ortho::{OrthoButterfly, OrthoButterflyLayer};
 pub use pixelfly::{flat_butterfly_mask, PixelflyConfig, PixelflyError, PixelflyLayer};

@@ -15,7 +15,7 @@
 use crate::block_sparse::BlockSparseMatrix;
 use crate::kernels::block::{
     fused_block_backward, fused_block_forward, fused_block_forward_train, BlockCsr, BlockGrads,
-    LowRankRef,
+    LowRankRef, PackedBlocks,
 };
 use bfly_nn::{Layer, Param};
 use bfly_tensor::matmul::matmul;
@@ -126,11 +126,17 @@ pub fn flat_butterfly_mask(grid: usize, butterfly_size: usize) -> Vec<(u32, u32)
 pub struct PixelflyLayer {
     dim: usize,
     config: PixelflyConfig,
-    sparse: BlockSparseMatrix,
-    /// CSR-of-blocks view of the (static) sparsity pattern, built once at
-    /// construction — the fused kernels' hot-path layout.
+    /// The sorted block coordinates of the (static) sparsity pattern.
+    coords: Vec<(u32, u32)>,
+    /// CSR-of-blocks view of the pattern, built once at construction — the
+    /// fused kernels' hot-path layout.
     csr: BlockCsr,
+    /// The block payload (row-major per block, CSR order); the backward
+    /// reads it directly.
     sparse_param: Param,
+    /// `sparse_param`'s values in the forward kernels' layout, re-packed
+    /// once per weight update (see [`PixelflyLayer::sync_sparse`]).
+    packed: PackedBlocks,
     /// Low-rank factors; `u` is `dim x rank`, `v` is `rank x dim`.
     u: Param,
     v: Param,
@@ -147,7 +153,7 @@ impl fmt::Debug for PixelflyLayer {
         f.debug_struct("PixelflyLayer")
             .field("dim", &self.dim)
             .field("config", &self.config)
-            .field("nnz_blocks", &self.sparse.nnz_blocks())
+            .field("nnz_blocks", &self.csr.nnz_blocks())
             .finish_non_exhaustive()
     }
 }
@@ -190,12 +196,16 @@ impl PixelflyLayer {
         let lr_scale = if r > 0 { 1.0 / ((dim * r) as f32).sqrt() } else { 0.0 };
         let u: Vec<f32> = (0..dim * r).map(|_| rng.gen_range(-lr_scale..=lr_scale)).collect();
         let v: Vec<f32> = (0..r * dim).map(|_| rng.gen_range(-lr_scale..=lr_scale)).collect();
+        // The matrix's own payload buffer becomes the packed copy.
+        let (coords, payload) = sparse.into_parts();
+        let packed = PackedBlocks::new(&csr, payload);
         Ok(Self {
             dim,
             config,
-            sparse,
+            coords,
             csr,
             sparse_param,
+            packed,
             u: Param::new("pixelfly.u", u),
             v: Param::new("pixelfly.v", v),
             bias: Param::new("pixelfly.bias", vec![0.0; dim]),
@@ -212,13 +222,16 @@ impl PixelflyLayer {
 
     /// Number of stored blocks in the flat-block-butterfly term.
     pub fn nnz_blocks(&self) -> usize {
-        self.sparse.nnz_blocks()
+        self.csr.nnz_blocks()
     }
 
-    /// Materialises the effective dense weight (block-sparse + low-rank).
-    pub fn effective_weight(&mut self) -> Matrix {
-        self.sync_sparse();
-        let mut w = self.sparse.to_dense();
+    /// Materialises the effective dense weight (block-sparse + low-rank)
+    /// from the current parameter values.
+    pub fn effective_weight(&self) -> Matrix {
+        let b = self.config.block_size;
+        let mut sparse = BlockSparseMatrix::zeros(self.dim, self.dim, b, self.coords.clone());
+        sparse.data_mut().copy_from_slice(&self.sparse_param.value);
+        let mut w = sparse.to_dense();
         if self.config.rank > 0 {
             let u = Matrix::from_vec(self.dim, self.config.rank, self.u.value.clone());
             let v = Matrix::from_vec(self.config.rank, self.dim, self.v.value.clone());
@@ -227,12 +240,12 @@ impl PixelflyLayer {
         w
     }
 
-    /// Dirty-gated sync of the flat block parameter into the sparse matrix.
+    /// Dirty-gated re-pack of the flat block parameter into the forward
+    /// kernels' layout: once per weight update, not once per call.
     fn sync_sparse(&mut self) {
-        if !self.sparse_param.take_dirty() {
-            return;
+        if self.sparse_param.take_dirty() {
+            self.packed.repack(&self.sparse_param.value);
         }
-        self.sparse.data_mut().copy_from_slice(&self.sparse_param.value);
     }
 
     /// Borrowed low-rank factors for the fused kernels (`None` at rank 0).
@@ -246,12 +259,12 @@ impl PixelflyLayer {
 
     /// The shared inference arithmetic: one fused block-sparse + low-rank +
     /// bias pass. Reads `u` / `v` / `bias` straight from parameter storage
-    /// and assumes `sparse` is already in sync (true at construction and
+    /// and assumes `packed` is already in sync (true at construction and
     /// after any `forward`).
     fn affine(&self, input: &Matrix, scratch: &mut Scratch) -> Matrix {
         fused_block_forward(
             &self.csr,
-            self.sparse.data(),
+            &self.packed,
             self.lowrank(),
             Some(&self.bias.value),
             input,
@@ -272,7 +285,7 @@ impl Layer for PixelflyLayer {
         }
         let (y, vx) = fused_block_forward_train(
             &self.csr,
-            self.sparse.data(),
+            &self.packed,
             self.lowrank(),
             Some(&self.bias.value),
             input,
@@ -295,43 +308,35 @@ impl Layer for PixelflyLayer {
             .take()
             .expect("PixelflyLayer::backward called without a training-mode forward");
         assert_eq!(grad_output.cols(), self.dim, "PixelflyLayer grad dim mismatch");
-        // Bias.
-        let mut db = vec![0.0f32; self.dim];
-        for r in 0..grad_output.rows() {
-            for (d, g) in db.iter_mut().zip(grad_output.row(r)) {
+        assert!(!self.bias.is_frozen(), "PixelflyLayer::backward on frozen parameters");
+        // Every gradient accumulates straight into its parameter's buffer.
+        for row in grad_output.rows_iter() {
+            for (d, g) in self.bias.grad.iter_mut().zip(row) {
                 *d += g;
             }
         }
-        self.bias.accumulate_grad(&db);
-
         // Fused block-sparse + low-rank backward: payload, U and V
         // gradients plus dX in one call.
-        let mut gblocks = vec![0.0f32; self.sparse_param.len()];
-        let rank = self.config.rank;
-        let (mut gu, mut gv) = if rank > 0 {
-            (vec![0.0f32; self.u.len()], vec![0.0f32; self.v.len()])
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let lowrank = (self.config.rank > 0).then(|| LowRankRef {
+            u: &self.u.value,
+            v: &self.v.value,
+            rank: self.config.rank,
+        });
         let vx = self.cached_vx.take();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let grad_in = fused_block_backward(
+        fused_block_backward(
             &self.csr,
-            self.sparse.data(),
-            self.lowrank(),
+            &self.sparse_param.value,
+            lowrank,
             &input,
             vx.as_ref(),
             grad_output,
-            BlockGrads { payload: &mut gblocks, u: &mut gu, v: &mut gv },
-            &mut scratch,
-        );
-        self.scratch = scratch;
-        self.sparse_param.accumulate_grad(&gblocks);
-        if rank > 0 {
-            self.u.accumulate_grad(&gu);
-            self.v.accumulate_grad(&gv);
-        }
-        grad_in
+            BlockGrads {
+                payload: &mut self.sparse_param.grad,
+                u: &mut self.u.grad,
+                v: &mut self.v.grad,
+            },
+            &mut self.scratch,
+        )
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -360,7 +365,7 @@ impl Layer for PixelflyLayer {
             k: self.dim,
             n: batch,
             block: self.config.block_size,
-            nnz_blocks: self.sparse.nnz_blocks(),
+            nnz_blocks: self.csr.nnz_blocks(),
         }];
         if self.config.rank > 0 {
             // Two dense matmuls for the low-rank term plus the residual add.

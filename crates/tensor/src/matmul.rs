@@ -4,10 +4,10 @@
 //! devices (Table 2): a `naive` triple loop, a cache-`blocked` loop, and the
 //! tuned kernel [`matmul`], the default used throughout the workspace. The
 //! tuned family — [`matmul`], [`matmul_at_b`], [`matmul_a_bt`] and their
-//! slice-borrowing variants — runs on the calling thread. Each kernel is
-//! cache-tiled, and its generic body is dispatched at run time to an
-//! AVX-512F or AVX2 instantiation ([`crate::dispatch_wide`]) that is
-//! bit-identical to it. `A: m x k`, `B: k x n` unless a name says otherwise.
+//! slice-borrowing and accumulating (`_acc`) variants — runs on the calling
+//! thread. Each kernel is cache-tiled, and its generic body is dispatched at
+//! run time to an AVX-512F or AVX2 instantiation ([`crate::dispatch_wide`])
+//! that is bit-identical to it. `A: m x k`, `B: k x n` unless a name says otherwise.
 //!
 //! Summation order, which fixes every result bit:
 //!
@@ -71,13 +71,25 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// # Panics
 /// Panics if `b.len() != A.cols() * b_cols`.
 pub fn matmul_slice(a: &Matrix, b: &[f32], b_cols: usize) -> Matrix {
+    let mut c = Matrix::zeros(a.rows(), b_cols);
+    matmul_slice_acc(a, b, b_cols, c.as_mut_slice());
+    c
+}
+
+/// `C += A * B`: the accumulating form of [`matmul_slice`], with `C` a
+/// row-major `A.rows() x b_cols` slice. Same kernel and summation order;
+/// each output continues from the value `C` holds, so on a zeroed `C` the
+/// result is bit-identical to [`matmul_slice`].
+///
+/// # Panics
+/// Panics if `b.len() != A.cols() * b_cols` or `c.len() != A.rows() * b_cols`.
+pub fn matmul_slice_acc(a: &Matrix, b: &[f32], b_cols: usize, c: &mut [f32]) {
     let (m, k) = a.shape();
     assert_eq!(b.len(), k * b_cols, "matmul_slice dimension mismatch");
-    let mut c = Matrix::zeros(m, b_cols);
+    assert_eq!(c.len(), m * b_cols, "matmul_slice output length mismatch");
     if m > 0 && k > 0 && b_cols > 0 {
-        axpy_gemm(a.as_slice(), k, 1, b, b_cols, c.as_mut_slice());
+        axpy_gemm(a.as_slice(), k, 1, b, b_cols, c);
     }
-    c
 }
 
 /// Textbook triple loop, kept for benchmarking and cross-checking.
@@ -147,14 +159,28 @@ pub fn matvec(a: &Matrix, x: &[f32]) -> Vec<f32> {
 /// # Panics
 /// Panics if `A` and `B` have different row counts.
 pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::zeros(a.cols(), b.cols());
+    matmul_at_b_acc(a, b, c.as_mut_slice());
+    c
+}
+
+/// `C += A^T * B`: the accumulating form of [`matmul_at_b`], with `C` a
+/// row-major `A.cols() x B.cols()` slice. Same kernel and summation order;
+/// each output continues from the value `C` holds, so on a zeroed `C` the
+/// result is bit-identical to [`matmul_at_b`]. Layers use it to accumulate
+/// a weight gradient straight into the parameter's gradient buffer.
+///
+/// # Panics
+/// Panics if `A` and `B` have different row counts or `c` has the wrong
+/// length.
+pub fn matmul_at_b_acc(a: &Matrix, b: &Matrix, c: &mut [f32]) {
     assert_eq!(a.rows(), b.rows(), "matmul_at_b dimension mismatch");
     let (k, m) = a.shape();
     let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
+    assert_eq!(c.len(), m * n, "matmul_at_b output length mismatch");
     if m > 0 && k > 0 && n > 0 {
-        axpy_gemm(a.as_slice(), 1, m, b.as_slice(), n, c.as_mut_slice());
+        axpy_gemm(a.as_slice(), 1, m, b.as_slice(), n, c);
     }
-    c
 }
 
 /// `C = A * B^T` without materialising the transpose.
@@ -200,7 +226,7 @@ const DOT_LANES: usize = 16;
 const DOT_ROWS: usize = 4;
 
 /// `C += A * B` for a strided `A` (`A[i][kk] = a[i * a_rs + kk * a_cs]`),
-/// row-major `B` of width `n` and zeroed row-major `C`. All extents must be
+/// row-major `B` of width `n` and row-major `C`. All extents must be
 /// non-zero.
 fn axpy_gemm(a: &[f32], a_rs: usize, a_cs: usize, b: &[f32], n: usize, c: &mut [f32]) {
     crate::dispatch_wide!(axpy_avx512, axpy_avx2, axpy_gemm_impl, a, a_rs, a_cs, b, n, c)
@@ -492,6 +518,24 @@ mod tests {
         let b2 = random(23, 19, 10);
         let expected2 = matmul(&a2, &b2.transpose());
         assert!(matmul_a_bt(&a2, &b2).relative_error(&expected2) < 1e-5);
+    }
+
+    #[test]
+    fn acc_variants_add_the_product_to_the_output() {
+        let a = random(9, 37, 15);
+        let b = random(37, 140, 16);
+        let at = random(37, 9, 17);
+        let c0 = random(9, 140, 18);
+        let mut c = c0.clone();
+        matmul_slice_acc(&a, b.as_slice(), b.cols(), c.as_mut_slice());
+        assert!(c.relative_error(&c0.add(&matmul(&a, &b))) < 1e-5);
+        let mut c = c0.clone();
+        matmul_at_b_acc(&at, &b, c.as_mut_slice());
+        assert!(c.relative_error(&c0.add(&matmul_at_b(&at, &b))) < 1e-5);
+        // On a zeroed output the accumulating form is the plain product.
+        let mut z = vec![0.0f32; 9 * 140];
+        matmul_slice_acc(&a, b.as_slice(), b.cols(), &mut z);
+        assert_eq!(z.as_slice(), matmul(&a, &b).as_slice());
     }
 
     #[test]
