@@ -57,7 +57,45 @@ impl Dataset {
     pub fn shuffle(&mut self, rng: &mut impl Rng) {
         let mut order: Vec<usize> = (0..self.len()).collect();
         order.shuffle(rng);
-        *self = self.select(&order);
+        self.permute(&order);
+    }
+
+    /// Reorders the samples in place so that sample `k` becomes the old
+    /// sample `order[k]`; `order` must be a permutation of `0..len`. Each
+    /// cycle of the permutation is walked once with a single row of
+    /// scratch, so no second copy of the features is made.
+    fn permute(&mut self, order: &[usize]) {
+        let (n, dim) = (self.len(), self.dim());
+        assert_eq!(order.len(), n, "permutation length mismatch");
+        self.labels = order.iter().map(|&i| self.labels[i]).collect();
+        let data = self.features.as_mut_slice();
+        let mut done = vec![false; n];
+        let mut first = vec![0.0f32; dim];
+        for start in 0..n {
+            if done[start] {
+                continue;
+            }
+            first.copy_from_slice(&data[start * dim..(start + 1) * dim]);
+            let mut k = start;
+            while order[k] != start {
+                done[k] = true;
+                let src = order[k];
+                data.copy_within(src * dim..(src + 1) * dim, k * dim);
+                k = src;
+            }
+            done[k] = true;
+            data[k * dim..(k + 1) * dim].copy_from_slice(&first);
+        }
+    }
+
+    /// Keeps the first `len` samples and releases the rest's memory.
+    fn truncate(&mut self, len: usize) {
+        let dim = self.dim();
+        let mut data = std::mem::replace(&mut self.features, Matrix::zeros(0, dim)).into_vec();
+        data.truncate(len * dim);
+        data.shrink_to_fit();
+        self.features = Matrix::from_vec(len, dim, data);
+        self.labels.truncate(len);
     }
 
     /// Standardises features to zero mean / unit variance per dimension,
@@ -115,6 +153,11 @@ pub struct Split {
 ///
 /// `val_fraction` is taken from the *training* portion after removing the
 /// test samples, following Table 3 ("validation set: 15 % of training set").
+///
+/// The samples are shuffled, then the first ones become the test set, the
+/// next the validation set and the rest the training set. The training set
+/// reuses `data`'s buffer, so splitting allocates only the two held-out
+/// sets.
 pub fn split(
     mut data: Dataset,
     test_fraction: f64,
@@ -123,16 +166,21 @@ pub fn split(
 ) -> Split {
     assert!((0.0..1.0).contains(&test_fraction));
     assert!((0.0..1.0).contains(&val_fraction));
-    data.shuffle(rng);
     let n = data.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(rng);
     let n_test = ((n as f64) * test_fraction).round() as usize;
     let n_train_total = n - n_test;
     let n_val = ((n_train_total as f64) * val_fraction).round() as usize;
-    let idx: Vec<usize> = (0..n).collect();
-    let test = data.select(&idx[0..n_test]);
-    let val = data.select(&idx[n_test..n_test + n_val]);
-    let train = data.select(&idx[n_test + n_val..]);
-    Split { train, val, test }
+    let held_out = n_test + n_val;
+    let test = data.select(&order[..n_test]);
+    let val = data.select(&order[n_test..held_out]);
+    // The training samples move to the front in place; the held-out rows
+    // behind them are already copied out.
+    order.rotate_left(held_out);
+    data.permute(&order);
+    data.truncate(n - held_out);
+    Split { train: data, val, test }
 }
 
 #[cfg(test)]
@@ -163,6 +211,53 @@ mod tests {
         assert_eq!(s.test.len(), 20);
         assert_eq!(s.val.len(), 12); // 15% of 80
         assert_eq!(s.train.len(), 68);
+    }
+
+    /// The split as it was computed before the training set reused the
+    /// input buffer: shuffle into a copy, then copy out each part.
+    fn split_by_copies(data: &Dataset, test: f64, val: f64, rng: &mut impl Rng) -> Split {
+        let mut order: Vec<usize> = (0..data.len()).collect();
+        order.shuffle(rng);
+        let shuffled = data.select(&order);
+        let n = shuffled.len();
+        let n_test = ((n as f64) * test).round() as usize;
+        let n_val = (((n - n_test) as f64) * val).round() as usize;
+        let idx: Vec<usize> = (0..n).collect();
+        Split {
+            test: shuffled.select(&idx[..n_test]),
+            val: shuffled.select(&idx[n_test..n_test + n_val]),
+            train: shuffled.select(&idx[n_test + n_val..]),
+        }
+    }
+
+    #[test]
+    fn split_matches_the_copying_split_bit_for_bit() {
+        for (n, dim, seed) in [(1, 3, 1), (7, 1, 2), (57, 3, 3), (100, 4, 4), (300, 5, 5)] {
+            let d = toy(n, dim);
+            for (test, val) in [(0.2, 0.15), (0.0, 0.0), (0.5, 0.5), (0.9, 0.3)] {
+                let got = split(d.clone(), test, val, &mut seeded_rng(seed));
+                let want = split_by_copies(&d, test, val, &mut seeded_rng(seed));
+                for (g, w) in
+                    [(&got.train, &want.train), (&got.val, &want.val), (&got.test, &want.test)]
+                {
+                    assert_eq!(g.features.shape(), w.features.shape());
+                    assert_eq!(g.features.as_slice(), w.features.as_slice());
+                    assert_eq!(g.labels, w.labels);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shuffle_matches_selecting_the_shuffled_order() {
+        let d = toy(41, 3);
+        let mut order: Vec<usize> = (0..41).collect();
+        order.shuffle(&mut seeded_rng(9));
+        let want = d.select(&order);
+        let mut got = d.clone();
+        got.shuffle(&mut seeded_rng(9));
+        assert_eq!(got.features.as_slice(), want.features.as_slice());
+        assert_eq!(got.labels, want.labels);
     }
 
     #[test]

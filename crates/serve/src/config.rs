@@ -335,7 +335,10 @@ impl Default for ServeConfig {
             seed: 0xB1F7,
             max_batch: 32,
             max_wait: Duration::from_micros(200),
-            queue_capacity: 256,
+            // Deep enough that a brief scheduling stall at tens of thousands
+            // of requests/s per model queues up as latency instead of
+            // shedding: 1024 requests is ~40 ms of arrivals at 25k/s.
+            queue_capacity: 1024,
             workers: std::thread::available_parallelism().map(|n| n.get().min(8)).unwrap_or(2),
             tensor_cores: false,
             registry_shards: crate::registry::DEFAULT_REGISTRY_SHARDS,
